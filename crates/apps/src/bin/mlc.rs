@@ -14,12 +14,9 @@
 //! mlc convert <in> <out> [--to text|binary]
 //!                                     # lossless trace conversion; the input
 //!                                     # format auto-detects, --to defaults
-//!                                     # to the opposite format. With
-//!                                     # --function/--start/--end the binary
-//!                                     # output carries the v2 iteration-
-//!                                     # index footer (shard planning with
-//!                                     # no pre-scan); an input footer is
-//!                                     # otherwise carried over
+//!                                     # to the opposite format. Binary
+//!                                     # output is format version 1 (an
+//!                                     # input's v2 footer is dropped)
 //! mlc ir    <file.mc>                 # dump the textual IR
 //! mlc loops <file.mc> [--function f]  # list loops and their control vars
 //! mlc app   <name> [-o file.mc]       # emit a bundled benchmark's source
@@ -50,9 +47,7 @@ fn usage() -> ! {
          \x20      mlc trace <file.mc>... --stream [--function f] [--start n --end n]\n\
          \x20                [--max-live-records N] [--limit <kind>=<N>]... [--metrics <file|->]\n\
          \x20                (per-session stats per input file)\n\
-         \x20      mlc convert <in> <out> [--to text|binary]   (trace format conversion)\n\
-         \x20      mlc convert <in> <out> --to binary --function f --start n --end n\n\
-         \x20                (also emit the v2 iteration-index footer for sharded analysis)"
+         \x20      mlc convert <in> <out> [--to text|binary]   (trace format conversion)"
     );
     std::process::exit(2)
 }
@@ -406,6 +401,13 @@ fn main() -> ExitCode {
                 Some(p) => p.clone(),
                 None => usage(),
             };
+            if ["--function", "--start", "--end"]
+                .iter()
+                .any(|f| opt(f).is_some())
+            {
+                eprintln!("error: convert takes no region (--function/--start/--end)");
+                return ExitCode::FAILURE;
+            }
             let bytes = match std::fs::read(target) {
                 Ok(b) => b,
                 Err(e) => {
@@ -434,45 +436,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // Optional v2 iteration-index footer: `--function/--start/--end`
-            // name the main loop, the region tracker computes the
-            // iteration-aligned boundaries, and the binary writer appends
-            // them so sharded readers plan without a pre-scan. Without a
-            // region, an existing footer on a binary input is carried over.
-            let index_region = match (opt("--function"), opt("--start"), opt("--end")) {
-                (Some(f), Some(s), Some(e)) => match (s.parse::<u32>(), e.parse::<u32>()) {
-                    (Ok(s), Ok(e)) => Some(Region::new(f, s, e)),
-                    _ => usage(),
-                },
-                (None, None, None) => None,
-                _ => {
-                    eprintln!("error: --function/--start/--end must be given together");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut indexed = false;
             let out_bytes = if to_binary {
-                let bounds = match &index_region {
-                    Some(region) => {
-                        let phases = autocheck_core::Phases::compute_in(&records, region, &ctx);
-                        Some(autocheck_core::boundaries_from_annots(&phases.annots))
-                    }
-                    None => autocheck_trace::binary::iteration_index(&bytes)
-                        .ok()
-                        .flatten(),
-                };
-                match bounds {
-                    Some(b) => {
-                        indexed = true;
-                        autocheck_trace::binary::to_bytes_with_index(&records, b, &ctx)
-                    }
-                    None => autocheck_trace::binary::to_bytes(&records, &ctx),
-                }
+                autocheck_trace::binary::to_bytes(&records, &ctx)
             } else {
-                if index_region.is_some() {
-                    eprintln!("error: the iteration-index footer requires `--to binary`");
-                    return ExitCode::FAILURE;
-                }
                 autocheck_trace::writer::to_string(&records).into_bytes()
             };
             if let Err(e) = std::fs::write(&out_path, &out_bytes) {
@@ -480,13 +446,12 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
             eprintln!(
-                "converted {} -> {} ({} records, {} -> {}{}, {} -> {} bytes)",
+                "converted {} -> {} ({} records, {} -> {}, {} -> {} bytes)",
                 target,
                 out_path,
                 records.len(),
                 if src_binary { "binary" } else { "text" },
                 if to_binary { "binary" } else { "text" },
-                if indexed { " + iteration index" } else { "" },
                 bytes.len(),
                 out_bytes.len()
             );

@@ -18,6 +18,8 @@
 //! loop pass → AutoCheck — and is what the tests, examples and benchmark
 //! harness all share.
 
+#![forbid(unsafe_code)]
+
 pub mod amg;
 pub mod bt;
 pub mod cg;

@@ -16,22 +16,11 @@
 //! `ingest_format`, so the text-vs-binary ingest gap is part of the
 //! trajectory; schema 4 sources `peak_live_records` from the session
 //! ledger's live-record gauge and adds the interner arena footprint
-//! (`arena_bytes`) observed at each app's capture; schema 5 runs every app
-//! once more through the sharded fold (`shards = 0` = auto: one
-//! iteration-aligned shard per core, serial on single-CPU hosts), asserts
-//! the result identical, and records the resolved `shards` count plus
-//! per-app and total `shard_wall_s`. On a single-CPU host the auto path
-//! degrades to serial, and the run asserts its overhead stays within 15%
-//! of the serial wall; speedup claims are only meaningful when `cpus > 1`
-//! (CI gates its parallel-wall validation on that). Schema 6 runs every
-//! app once more through the decode-ahead overlapped ingest (`overlap = 0`
-//! = auto: serial on single-CPU hosts, `min(cores, 4)` otherwise) from a
-//! trace file — the input kind the pipeline serves — asserts the result
-//! identical, and records per-app `overlapped_total_s` plus the
-//! ledger-sourced `ingest_depth_peak` (validated against the bounded
-//! channel's `depth + 2` ceiling), and the suite-wide `overlapped_wall_s`
-//! vs `overlap_serial_wall_s`. On a single-CPU host auto degrades to
-//! serial and the run asserts the pipeline's overhead stays within 10%.
+//! (`arena_bytes`) observed at each app's capture; schema 5 added sharded
+//! and schema 6 decode-ahead timings, which schema 7 drops again with the
+//! knobs they measured. Schema 7 keeps `path_total_s`: the serial batch
+//! pipeline's end-to-end wall reading each trace from a file, the input
+//! kind the CLI serves.
 //!
 //! With `--metrics PATH`, the parallel multi-session run goes through
 //! `MultiAnalyzer::with_metrics` and its aggregated batch ledger (one
@@ -69,17 +58,10 @@ struct AppRow {
     name: String,
     serial: Report,
     parallel: Report,
-    sharded_total: std::time::Duration,
     streaming_total: std::time::Duration,
     /// End-to-end wall of the serial batch pipeline reading the trace from
-    /// a file — the baseline the overlapped wall is compared against.
+    /// a file.
     path_total: std::time::Duration,
-    /// End-to-end wall of the decode-ahead overlapped ingest (auto depth)
-    /// over the same file.
-    overlapped_total: std::time::Duration,
-    /// Peak of the `ingest.depth` gauge during the overlapped run, from
-    /// the session ledger. Zero on single-CPU hosts (auto = serial).
-    ingest_depth_peak: u64,
     peak_live: usize,
     arena_bytes: u64,
     ingest: Vec<IngestRate>,
@@ -174,8 +156,8 @@ fn main() {
         "Bin ingest ×",
     ]);
     let mut rows: Vec<AppRow> = Vec::new();
-    let overlap_dir = std::env::temp_dir().join(format!("autocheck-table3-{}", std::process::id()));
-    std::fs::create_dir_all(&overlap_dir).expect("scratch dir for overlap traces");
+    let trace_dir = std::env::temp_dir().join(format!("autocheck-table3-{}", std::process::id()));
+    std::fs::create_dir_all(&trace_dir).expect("scratch dir for trace files");
     for spec in all_apps_scaled(scale) {
         let module = autocheck_minilang::compile(&spec.source).expect("compiles");
         let mut sink = WriterSink::new(Vec::new());
@@ -202,77 +184,22 @@ fn main() {
             parallel.summary(),
             "parallelism must not change results"
         );
-        // Sharded single-trace fold: auto shard count (one iteration-aligned
-        // shard per core; single-CPU hosts degrade to the serial path).
-        let sharded = Analyzer::new(spec.region.clone())
-            .with_index_vars(index.clone())
-            .with_config(PipelineConfig {
-                shards: 0,
-                ..PipelineConfig::default()
-            })
-            .analyze_text(&text)
-            .expect("parses");
-        assert_eq!(
-            serial.summary(),
-            sharded.summary(),
-            "sharding must not change results"
-        );
-        // Overlapped decode-ahead ingest over the same trace, read from a
-        // file — the input kind the pipeline serves (in-memory inputs are
-        // unaffected by the overlap knob). Auto depth: serial on
-        // single-CPU hosts, `min(cores, 4)` otherwise. The serial-from-file
-        // wall is measured the same way so the comparison isolates the
-        // pipeline, not the file I/O.
-        let trace_path = overlap_dir.join(format!("{}.txt", spec.name));
+        // The batch pipeline over the same trace read from a file, timed
+        // end to end.
+        let trace_path = trace_dir.join(format!("{}.txt", spec.name));
         std::fs::write(&trace_path, text.as_bytes()).expect("write trace file");
-        let run_path = |overlap: usize, ctx: &AnalysisCtx| {
-            let t = std::time::Instant::now();
-            let report = Analyzer::new(spec.region.clone())
-                .with_index_vars(index.clone())
-                .with_config(PipelineConfig {
-                    overlap,
-                    ..PipelineConfig::default()
-                })
-                .with_ctx(ctx.clone())
-                .analyze_path(&trace_path)
-                .expect("parses");
-            (report, t.elapsed())
-        };
-        let (path_serial, path_total) = run_path(1, &AnalysisCtx::current());
-        let octx = AnalysisCtx::current().with_metrics(Metrics::enabled());
-        let (overlapped, overlapped_total) = run_path(0, &octx);
+        let t = std::time::Instant::now();
+        let from_path = Analyzer::new(spec.region.clone())
+            .with_index_vars(index.clone())
+            .analyze_path(&trace_path)
+            .expect("parses");
+        let path_total = t.elapsed();
         assert_eq!(
             serial.summary(),
-            path_serial.summary(),
+            from_path.summary(),
             "file ingest must not change results"
         );
-        assert_eq!(
-            serial.summary(),
-            overlapped.summary(),
-            "overlapped ingest must not change results"
-        );
         let _ = std::fs::remove_file(&trace_path);
-        // Queue-depth peak from the ledger, validated against the bounded
-        // channel's invariant: at depth d the producer can be at most d
-        // batches plus one in-flight message ahead of the consumer.
-        let oledger = capture_ledger(spec.name, &octx);
-        let ingest_depth_peak = oledger.gauge(GaugeId::IngestDepth).1;
-        let overlap_depth = autocheck_trace::resolve_overlap_depth(0);
-        if overlap_depth > 1 {
-            assert!(
-                (1..=overlap_depth as u64 + 2).contains(&ingest_depth_peak),
-                "{}: queue-depth peak {} outside [1, {}]",
-                spec.name,
-                ingest_depth_peak,
-                overlap_depth + 2
-            );
-        } else {
-            assert_eq!(
-                ingest_depth_peak, 0,
-                "{}: the serial path must book no queue depth",
-                spec.name
-            );
-        }
         // The streaming run carries a metrics registry: schema-4 JSON
         // sources peak-live and the interner arena footprint from its
         // captured ledger, not from hand-maintained counters.
@@ -322,11 +249,8 @@ fn main() {
             name: spec.name.to_string(),
             serial,
             parallel,
-            sharded_total: sharded.timings.total(),
             streaming_total: streaming.report.timings.total(),
             path_total,
-            overlapped_total,
-            ingest_depth_peak,
             peak_live,
             arena_bytes,
             ingest,
@@ -404,56 +328,7 @@ fn main() {
         );
     }
 
-    // Sharded-fold wall across the suite. On a single-CPU host the auto
-    // shard count resolves to 1 (serial path), so the sharded wall must
-    // track the serial wall — enforce the ≤15% overhead bound here; on
-    // multi-core hosts the ratio is a speedup signal instead.
-    let shards = autocheck_trace::resolve_shard_count(0);
-    let serial_wall_s: f64 = rows
-        .iter()
-        .map(|r| r.serial.timings.total().as_secs_f64())
-        .sum();
-    let shard_wall_s: f64 = rows.iter().map(|r| r.sharded_total.as_secs_f64()).sum();
-    println!(
-        "\nsharded fold (shards={}, auto): {:.3}s vs serial {:.3}s ({:.2}x)",
-        shards,
-        shard_wall_s,
-        serial_wall_s,
-        serial_wall_s / shard_wall_s.max(1e-9),
-    );
-    if cpus == 1 {
-        assert!(
-            shard_wall_s <= serial_wall_s * 1.15,
-            "single-CPU sharded fold must stay within 15% of serial \
-             (sharded {shard_wall_s:.3}s vs serial {serial_wall_s:.3}s)"
-        );
-        println!("  (single-CPU machine: auto degrades to serial; overhead within 15%)");
-    }
-
-    // Overlapped decode-ahead ingest wall across the suite (from file,
-    // auto depth). On a single-CPU host auto resolves to serial, so the
-    // overlapped wall must track the serial-from-file wall — enforce the
-    // ≤10% overhead bound here; on multi-core hosts the ratio is the
-    // decode-ahead speedup CI validates from the JSON.
-    let overlap_depth = autocheck_trace::resolve_overlap_depth(0);
-    let overlap_serial_wall_s: f64 = rows.iter().map(|r| r.path_total.as_secs_f64()).sum();
-    let overlapped_wall_s: f64 = rows.iter().map(|r| r.overlapped_total.as_secs_f64()).sum();
-    let _ = std::fs::remove_dir_all(&overlap_dir);
-    println!(
-        "\noverlapped ingest (depth={}, auto): {:.3}s vs serial-from-file {:.3}s ({:.2}x)",
-        overlap_depth,
-        overlapped_wall_s,
-        overlap_serial_wall_s,
-        overlap_serial_wall_s / overlapped_wall_s.max(1e-9),
-    );
-    if cpus == 1 {
-        assert!(
-            overlapped_wall_s <= overlap_serial_wall_s * 1.10,
-            "single-CPU overlapped ingest must stay within 10% of serial \
-             (overlapped {overlapped_wall_s:.3}s vs serial {overlap_serial_wall_s:.3}s)"
-        );
-        println!("  (single-CPU machine: auto degrades to serial; overhead within 10%)");
-    }
+    let _ = std::fs::remove_dir_all(&trace_dir);
 
     if let Some(path) = &metrics_path {
         let ledger = parallel_batch
@@ -479,11 +354,6 @@ fn main() {
                 parallel_batch.jobs,
                 batch_wall_1,
                 batch_wall_n,
-                shards,
-                shard_wall_s,
-                overlap_depth,
-                overlap_serial_wall_s,
-                overlapped_wall_s,
             ),
         )
         .expect("write BENCH_table3.json");
@@ -493,7 +363,6 @@ fn main() {
 
 /// Hand-rolled JSON (no serde in the offline vendor set). Field names are
 /// the contract consumed by trend tooling; keep them stable.
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     scale: Scale,
     threads: usize,
@@ -501,11 +370,6 @@ fn render_json(
     jobs: usize,
     batch_wall_1: std::time::Duration,
     batch_wall_n: std::time::Duration,
-    shards: usize,
-    shard_wall_s: f64,
-    overlap_depth: usize,
-    overlap_serial_wall_s: f64,
-    overlapped_wall_s: f64,
 ) -> String {
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -513,7 +377,7 @@ fn render_json(
         .unwrap_or(0);
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"bench\": \"table3\",");
-    let _ = writeln!(out, "  \"schema\": 6,");
+    let _ = writeln!(out, "  \"schema\": 7,");
     let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
     let _ = writeln!(out, "  \"parse_threads\": {threads},");
     let _ = writeln!(out, "  \"unix_time\": {unix_time},");
@@ -535,21 +399,6 @@ fn render_json(
         "  \"batch_wall_parallel_s\": {:.6},",
         batch_wall_n.as_secs_f64()
     );
-    // Only meaningful as a speedup when `cpus > 1`; on a single-CPU host
-    // the auto shard count degrades to serial and this tracks the serial
-    // wall (CI validates accordingly).
-    let _ = writeln!(out, "  \"shards\": {shards},");
-    let _ = writeln!(out, "  \"shard_wall_s\": {shard_wall_s:.6},");
-    // Decode-ahead ingest: resolved auto depth and end-to-end walls over
-    // file-backed traces. Only a speedup signal when `cpus > 1`; on a
-    // single-CPU host auto degrades to serial (and the run asserts the
-    // overhead bound before writing this file).
-    let _ = writeln!(out, "  \"overlap\": {overlap_depth},");
-    let _ = writeln!(
-        out,
-        "  \"overlap_serial_wall_s\": {overlap_serial_wall_s:.6},"
-    );
-    let _ = writeln!(out, "  \"overlapped_wall_s\": {overlapped_wall_s:.6},");
     out.push_str("  \"apps\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let t = row.serial.timings;
@@ -559,10 +408,8 @@ fn render_json(
             out,
             "    {{\"name\": \"{}\", \"preprocess_s\": {:.6}, \"preprocess_parallel_s\": {:.6}, \
              \"dependency_s\": {:.6}, \"identify_s\": {:.6}, \"total_s\": {:.6}, \
-             \"total_parallel_s\": {:.6}, \"sharded_total_s\": {:.6}, \
-             \"streaming_total_s\": {:.6}, \"path_total_s\": {:.6}, \
-             \"overlapped_total_s\": {:.6}, \"ingest_depth_peak\": {}, \
-             \"peak_live_records\": {}, \"records\": {}, \"arena_bytes\": {}, \
+             \"total_parallel_s\": {:.6}, \"streaming_total_s\": {:.6}, \
+             \"path_total_s\": {:.6}, \"peak_live_records\": {}, \"records\": {}, \"arena_bytes\": {}, \
              \"ddg_nodes\": {}, \"ddg_edges\": {}, \"contracted_nodes\": {}, \
              \"contracted_edges\": {}, \"contract_wall_s\": {:.6}, \"ingest\": [{}]}}",
             row.name,
@@ -572,11 +419,8 @@ fn render_json(
             t.identify.as_secs_f64(),
             t.total().as_secs_f64(),
             p.total().as_secs_f64(),
-            row.sharded_total.as_secs_f64(),
             row.streaming_total.as_secs_f64(),
             row.path_total.as_secs_f64(),
-            row.overlapped_total.as_secs_f64(),
-            row.ingest_depth_peak,
             row.peak_live,
             row.serial.records,
             row.arena_bytes,

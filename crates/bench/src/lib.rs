@@ -14,6 +14,8 @@
 //! by how many orders of magnitude, what dominates the time — are the
 //! reproduction targets.
 
+#![forbid(unsafe_code)]
+
 use autocheck_apps::AppSpec;
 use std::time::Duration;
 

@@ -23,6 +23,8 @@
 //!   false-positive check (drop one protected variable and observe the
 //!   restart diverge).
 
+#![forbid(unsafe_code)]
+
 pub mod blcr;
 pub mod crc;
 pub mod driver;

@@ -9,10 +9,10 @@
 //!
 //! ```text
 //! autocheck <trace-file> --function main --start 13 --end 21 \
-//!     [--index it,step] [--threads N] [--shards N] [--overlap N] [--dot out.dot] \
+//!     [--index it,step] [--threads N] [--dot out.dot] \
 //!     [--collect arithmetic] [--stream] [--max-live-records N] [--untrusted-trace] \
 //!     [--metrics out.json]
-//! autocheck --batch <manifest> [--jobs N] [--shards N] [--overlap N] [--stream] \
+//! autocheck --batch <manifest> [--jobs N] [--stream] \
 //!     [--untrusted-trace] [--metrics out.json]
 //! ```
 //!
@@ -50,23 +50,9 @@
 //! `--batch` mode the limits apply per session, so one tenant tripping its
 //! quota cannot disturb the other sessions' reports.
 //!
-//! `--shards N` splits the trace into at most `N` iteration-aligned shards
-//! analyzed on worker threads and deterministically merged — the report and
-//! DOT output are byte-identical to a serial run. The default (`0` = auto)
-//! uses one shard per available core; `--shards 1` forces the serial path.
-//! Works in batch, `--stream`, and `--batch` manifest modes; binary traces
-//! carrying the v2 iteration-index footer shard without a planning
-//! pre-scan. Resource ceilings still apply to the merged session state.
-//!
-//! `--overlap N` overlaps trace ingest with analysis: the file is read and
-//! decoded on background threads, `N` record batches ahead of the fold,
-//! through a bounded channel and a recycled buffer pool (file ingest stays
-//! O(window) resident). Reports, DOT and exit codes are byte-identical to
-//! serial at every depth; only the wall clock changes. The default (`0` =
-//! auto) picks a depth from the core count — single-CPU hosts short-circuit
-//! to the serial path — and `--overlap 1` forces serial. Composes with
-//! `--shards` (overlap accelerates the materialization that feeds the
-//! sharded fold) and works in batch, `--stream`, and `--batch` modes.
+//! Every mode runs one serial analysis pass per session. The parallel
+//! knobs are `--threads N` (parallel text parsing in batch mode) and
+//! `--jobs N` (concurrent sessions in `--batch` mode).
 //!
 //! `--metrics <file|->` turns on the observability layer: the session runs
 //! with a metrics registry (counters, gauges, stage timers, histograms)
@@ -100,20 +86,16 @@ struct Args {
     batch: Option<String>,
     jobs: usize,
     metrics: Option<String>,
-    shards: usize,
-    overlap: usize,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: autocheck <trace-file> --function <name> --start <line> --end <line>\n\
-         \x20                [--index v1,v2] [--threads N] [--shards N] [--overlap N] [--dot <file>]\n\
+         \x20                [--index v1,v2] [--threads N] [--dot <file>]\n\
          \x20                [--collect any|arithmetic] [--stream] [--max-live-records N]\n\
          \x20                [--untrusted-trace] [--metrics <file|->] [--limit <kind>=<N>]...\n\
-         \x20      autocheck --batch <manifest> [--jobs N] [--shards N] [--overlap N] [--stream]\n\
+         \x20      autocheck --batch <manifest> [--jobs N] [--stream]\n\
          \x20                [--untrusted-trace] [--metrics <file|->] [--limit <kind>=<N>]...\n\
-         \x20                (--shards: iteration-aligned trace shards; 0 = auto, 1 = serial)\n\
-         \x20                (--overlap: decode-ahead ingest depth; 0 = auto, 1 = serial)\n\
          \x20                (manifest lines: <trace-file> <function> <start> <end> [index,vars])\n\
          \x20                (--limit kinds: trace-records, trace-bytes, symbols, arena-bytes,\n\
          \x20                 ddg-nodes, ddg-edges, live-records; repeatable, applies per session)"
@@ -139,10 +121,6 @@ fn parse_args() -> Args {
     let mut batch = None;
     let mut jobs = 1usize;
     let mut metrics = None;
-    // 0 = auto: one shard per available core (1-core hosts stay serial).
-    let mut shards = 0usize;
-    // 0 = auto: decode-ahead depth from the core count (1-core = serial).
-    let mut overlap = 0usize;
     while let Some(a) = args.next() {
         let mut take = || args.next().unwrap_or_else(|| usage());
         match a.as_str() {
@@ -178,8 +156,6 @@ fn parse_args() -> Args {
                 }
             },
             "--metrics" => metrics = Some(take()),
-            "--shards" => shards = take().parse().unwrap_or_else(|_| usage()),
-            "--overlap" => overlap = take().parse().unwrap_or_else(|_| usage()),
             "--batch" => batch = Some(take()),
             "--jobs" | "-j" => jobs = take().parse().unwrap_or_else(|_| usage()),
             "--help" | "-h" => usage(),
@@ -219,8 +195,6 @@ fn parse_args() -> Args {
             batch: Some(batch),
             jobs,
             metrics,
-            shards,
-            overlap,
         };
     }
     let Some(trace) = trace else { usage() };
@@ -252,8 +226,6 @@ fn parse_args() -> Args {
         batch: None,
         jobs,
         metrics,
-        shards,
-        overlap,
     }
 }
 
@@ -298,9 +270,7 @@ fn parse_manifest(path: &str, args: &Args) -> Result<Vec<autocheck_core::Analysi
         )
         .untrusted(args.untrusted)
         .streaming(args.stream)
-        .with_limits(args.limits)
-        .with_shards(args.shards)
-        .with_overlap(args.overlap);
+        .with_limits(args.limits);
         job.collect = args.collect;
         job.max_live_records = args.max_live_records;
         if let Some(ix) = fields.get(4) {
@@ -397,29 +367,15 @@ fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
             collect: args.collect,
             max_live_records: args.max_live_records,
             contracted_dot: args.dot.is_some(),
-            shards: args.shards,
-            overlap: args.overlap,
             ..StreamConfig::default()
         })
         .with_ctx(ctx.clone());
-    // Sharded runs slurp the file so a binary trace's iteration-index
-    // footer can plan the shards without a pre-scan; serial runs keep the
-    // bounded single-pass reader (peak memory = live window).
-    let run = if autocheck_trace::resolve_shard_count(args.shards) > 1 {
-        match std::fs::read(&args.trace) {
-            Ok(bytes) => analyzer.run_bytes(&bytes),
-            Err(e) => {
-                eprintln!("error: cannot read `{}`: {e}", args.trace);
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        match std::fs::File::open(&args.trace) {
-            Ok(f) => analyzer.run_read(std::io::BufReader::new(f)),
-            Err(e) => {
-                eprintln!("error: cannot read `{}`: {e}", args.trace);
-                return ExitCode::FAILURE;
-            }
+    // The bounded single-pass reader: peak memory = live window.
+    let run = match std::fs::File::open(&args.trace) {
+        Ok(f) => analyzer.run_read(std::io::BufReader::new(f)),
+        Err(e) => {
+            eprintln!("error: cannot read `{}`: {e}", args.trace);
+            return ExitCode::FAILURE;
         }
     };
     let run = match run {
@@ -521,14 +477,11 @@ fn main() -> ExitCode {
         .with_config(PipelineConfig {
             parse_threads: args.threads,
             collect: args.collect,
-            shards: args.shards,
-            overlap: args.overlap,
             ..PipelineConfig::default()
         })
         .with_ctx(ctx.clone());
     // The file feeds the bounded chunked reader (format auto-detected from
-    // the leading magic) — ingest stays O(window) resident and, with
-    // overlap, runs concurrently with the fold.
+    // the leading magic), so ingest buffers stay O(window) resident.
     let report = match analyzer.analyze_path(&args.trace) {
         Ok(r) => r,
         Err(e) => return fail(&args, &ctx, e),
@@ -559,7 +512,6 @@ fn main() -> ExitCode {
         // contracted DDG from the frozen graph.
         let records = match autocheck_trace::TraceSource::from_path(&args.trace)
             .ctx(&ctx)
-            .overlap(args.overlap)
             .records()
         {
             Ok(r) => r,

@@ -5,13 +5,9 @@ use crate::preprocess::{find_mli_vars_in, CollectMode};
 use crate::region::{Phase, Phases, Region};
 use crate::report::{DdgSummary, Report, Timings};
 use autocheck_obs::{GaugeId, TimerId};
-use autocheck_stream::{
-    boundaries_from_annots, fold_ddg_sharded, fold_mli_sharded, VarStats, VarStatsBuilder,
-};
+use autocheck_stream::VarStatsBuilder;
 use autocheck_trace::reader::TraceReadError;
-use autocheck_trace::{
-    plan_shards, resolve_shard_count, AnalysisCtx, ParallelConfig, Record, TraceSource,
-};
+use autocheck_trace::{AnalysisCtx, ParallelConfig, Record, TraceSource};
 use std::path::Path;
 use std::time::Instant;
 
@@ -25,18 +21,6 @@ pub struct PipelineConfig {
     /// Worker threads for trace parsing (paper §V-A, OpenMP). `1` =
     /// serial.
     pub parse_threads: usize,
-    /// Iteration-aligned shards for the analysis folds (MLI + dependency):
-    /// `1` = serial, `0` = one per available core, `N` = at most `N`
-    /// workers. Any value produces byte-identical reports and DOT output —
-    /// the plan degrades gracefully when the loop has fewer iterations
-    /// than requested shards.
-    pub shards: usize,
-    /// Decode-ahead depth for file ingest ([`Analyzer::analyze_path`]):
-    /// `1` = serial (the default), `0` = auto (serial on single-core
-    /// hosts), `n >= 2` = read and decode on background threads, `n`
-    /// record batches ahead. Reports are byte-identical at every depth;
-    /// see [`autocheck_trace::resolve_overlap_depth`].
-    pub overlap: usize,
 }
 
 impl Default for PipelineConfig {
@@ -45,8 +29,6 @@ impl Default for PipelineConfig {
             collect: CollectMode::AnyAccess,
             selective: true,
             parse_threads: 1,
-            shards: 1,
-            overlap: 1,
         }
     }
 }
@@ -123,8 +105,7 @@ impl Analyzer {
                     message: other.to_string(),
                 },
             })?;
-        let parse_time = t0.elapsed();
-        Ok(self.analyze_inner(&records, parse_time))
+        Ok(self.analyze_owned(records, t0.elapsed()))
     }
 
     /// Analyze a trace file in either format (text or binary, auto-detected
@@ -135,27 +116,33 @@ impl Analyzer {
         let records = self
             .source(TraceSource::from_path(path.as_ref()))
             .records()?;
-        let parse_time = t0.elapsed();
-        Ok(self.analyze_inner(&records, parse_time))
+        Ok(self.analyze_owned(records, t0.elapsed()))
     }
 
     /// Analyze an in-memory trace in either format.
     pub fn analyze_bytes(&self, bytes: &[u8]) -> Result<Report, TraceReadError> {
         let t0 = Instant::now();
         let records = self.source(TraceSource::from_bytes(bytes)).records()?;
-        let parse_time = t0.elapsed();
-        Ok(self.analyze_inner(&records, parse_time))
+        Ok(self.analyze_owned(records, t0.elapsed()))
     }
 
-    /// Scope a [`TraceSource`] to this analyzer's session, parallelism,
-    /// and decode-ahead depth.
+    /// Scope a [`TraceSource`] to this analyzer's session and parse
+    /// parallelism.
     fn source<'a>(&self, source: TraceSource<'a>) -> TraceSource<'a> {
-        source
-            .ctx(&self.ctx)
-            .parallel(ParallelConfig {
-                threads: self.config.parse_threads,
-            })
-            .overlap(self.config.overlap)
+        source.ctx(&self.ctx).parallel(ParallelConfig {
+            threads: self.config.parse_threads,
+        })
+    }
+
+    /// [`analyze_inner`](Self::analyze_inner) over records this call
+    /// materialized. Freeing them is part of what materializing costs, so
+    /// it is booked with ingest and the printed total covers the call.
+    fn analyze_owned(&self, records: Vec<Record>, parse_time: std::time::Duration) -> Report {
+        let mut report = self.analyze_inner(&records, parse_time);
+        let t = Instant::now();
+        drop(records);
+        report.timings.preprocess += t.elapsed();
+        report
     }
 
     fn analyze_inner(&self, records: &[Record], parse_time: std::time::Duration) -> Report {
@@ -163,93 +150,49 @@ impl Analyzer {
 
         // Pre-processing: region partitioning + MLI identification. The
         // report's Table-III figure includes ingest (`parse_time`); the
-        // ledger books ingest under its own `stage.ingest` timer. With
-        // `shards > 1` the annotation vector doubles as the free source of
-        // iteration boundaries, and the MLI fold fans out over
-        // iteration-aligned shards (replay fast-forward + deterministic
-        // merge — byte-identical results, see `autocheck_stream::shard`).
+        // ledger books ingest under its own `stage.ingest` timer.
         let t = m.timed(TimerId::Preprocess);
         let phases = Phases::compute_in(records, &self.region, &self.ctx);
-        let shards = resolve_shard_count(self.config.shards);
-        let plan = if shards > 1 {
-            plan_shards(
-                records.len(),
-                &boundaries_from_annots(&phases.annots),
-                shards,
-            )
-        } else {
-            Vec::new()
-        };
-        let sharded = plan.len() > 1;
-        let mli = if sharded {
-            fold_mli_sharded(
-                records,
-                &phases.annots,
-                &plan,
-                self.config.collect,
-                &self.ctx,
-            )
-            .finish()
-        } else {
-            find_mli_vars_in(
-                records,
-                &phases,
-                &self.region,
-                self.config.collect,
-                &self.ctx,
-            )
-        };
+        let mli = find_mli_vars_in(
+            records,
+            &phases,
+            &self.region,
+            self.config.collect,
+            &self.ctx,
+        );
         let preprocess = parse_time + t.finish();
 
         // Dependency analysis: one fold of the record slice through the
         // shared streaming DdgBuilder. Events are not retained — each one
         // feeds its variable's statistics builder as it is emitted (the
         // same fold the online engine runs), so peak memory for this stage
-        // is O(variables), not O(trace). The sharded variant runs one
-        // preloaded builder per shard and merges graphs and statistics in
-        // shard order.
+        // is O(variables), not O(trace).
         let t = m.timed(TimerId::Dependency);
         let addr_seed = self.ctx.addr_seed();
         let mut stats = self.ctx.addr_map::<u64, VarStatsBuilder>();
-        let mut stats_finished = self.ctx.addr_map::<u64, VarStats>();
-        let graph = if sharded {
-            let preload: Vec<_> = mli.iter().map(|v| (v.name, v.base_addr)).collect();
-            let (builder, merged) = fold_ddg_sharded(
-                records,
-                &phases.annots,
-                &plan,
-                self.config.selective,
-                true,
-                &preload,
-                &self.ctx,
-            );
-            stats_finished = merged;
-            builder.finish()
-        } else {
-            DdgAnalysis::fold_in(
-                records,
-                &phases,
-                &mli,
-                DdgOptions {
-                    selective: self.config.selective,
-                    retain_events: false,
-                    ..DdgOptions::default()
-                },
-                &self.ctx,
-                |e| {
-                    let builder = stats
-                        .entry(e.base)
-                        .or_insert_with(|| VarStatsBuilder::with_seed(addr_seed));
-                    match (e.phase, e.kind) {
-                        (Phase::Inside, kind) => {
-                            builder.feed_inside(e.iter, e.elem, kind == RwKind::Write)
-                        }
-                        (Phase::After, RwKind::Read) => builder.feed_after_read(),
-                        _ => {}
+        let graph = DdgAnalysis::fold_in(
+            records,
+            &phases,
+            &mli,
+            DdgOptions {
+                selective: self.config.selective,
+                retain_events: false,
+                ..DdgOptions::default()
+            },
+            &self.ctx,
+            |e| {
+                let builder = stats
+                    .entry(e.base)
+                    .or_insert_with(|| VarStatsBuilder::with_seed(addr_seed));
+                match (e.phase, e.kind) {
+                    (Phase::Inside, kind) => {
+                        builder.feed_inside(e.iter, e.elem, kind == RwKind::Write)
                     }
-                },
-            )
-        };
+                    (Phase::After, RwKind::Read) => builder.feed_after_read(),
+                    _ => {}
+                }
+            },
+        );
         let dependency = t.finish();
 
         // Contraction (Algorithm 1), on the frozen CSR graph — its own
@@ -276,14 +219,10 @@ impl Analyzer {
             self.region.start_line,
             &self.ctx,
             |var| {
-                let st = if sharded {
-                    stats_finished.remove(&var.base_addr).unwrap_or_default()
-                } else {
-                    stats
-                        .remove(&var.base_addr)
-                        .map(|b| b.finish())
-                        .unwrap_or_default()
-                };
+                let st = stats
+                    .remove(&var.base_addr)
+                    .map(|b| b.finish())
+                    .unwrap_or_default();
                 crate::classify::decide(&st, var.size)
             },
         );
@@ -484,41 +423,6 @@ int main() {
             })
             .analyze(&sink.records);
         assert_eq!(selective.summary(), exhaustive.summary());
-    }
-
-    #[test]
-    fn sharded_analysis_matches_serial() {
-        let module = autocheck_minilang::compile(FIG4).unwrap();
-        let mut machine =
-            autocheck_interp::Machine::new(&module, autocheck_interp::ExecOptions::default());
-        let mut sink = autocheck_interp::VecSink::default();
-        machine
-            .run(&mut sink, &mut autocheck_interp::NoHook)
-            .unwrap();
-        let region = Region::new("main", 13, 21);
-        let index = index_variables_of(&module, &region);
-        let serial = Analyzer::new(region.clone())
-            .with_index_vars(index.clone())
-            .analyze(&sink.records);
-        // 0 = auto; 64 exceeds the iteration count (graceful degradation).
-        for shards in [0usize, 2, 3, 8, 64] {
-            let out = Analyzer::new(region.clone())
-                .with_index_vars(index.clone())
-                .with_config(PipelineConfig {
-                    shards,
-                    ..PipelineConfig::default()
-                })
-                .analyze(&sink.records);
-            assert_eq!(out.summary(), serial.summary(), "{shards} shards");
-            assert_eq!(out.mli, serial.mli, "{shards} shards");
-            assert_eq!(out.skipped, serial.skipped, "{shards} shards");
-            assert_eq!(out.iterations, serial.iterations);
-            assert_eq!(out.records, serial.records);
-            assert_eq!(out.ddg.nodes, serial.ddg.nodes, "{shards} shards");
-            assert_eq!(out.ddg.edges, serial.ddg.edges, "{shards} shards");
-            assert_eq!(out.ddg.contracted_nodes, serial.ddg.contracted_nodes);
-            assert_eq!(out.ddg.contracted_edges, serial.ddg.contracted_edges);
-        }
     }
 
     #[test]

@@ -72,16 +72,6 @@ pub struct AnalysisJob {
     /// Also render the contracted DDG as DOT (batch *and* streaming jobs —
     /// the streaming engine contracts its own frozen graph at finish).
     pub dot: bool,
-    /// Iteration-aligned shards for the analysis fold: `1` = serial, `0` =
-    /// one per available core, `N` = at most `N` workers. Output is
-    /// byte-identical to the serial fold; session resource ceilings still
-    /// apply to the merged state.
-    pub shards: usize,
-    /// Decode-ahead depth for trace-file ingest: `1` = serial, `0` = auto
-    /// (serial on single-core hosts), `n >= 2` = read and decode on
-    /// background threads, `n` record batches ahead of the fold. Output is
-    /// byte-identical to serial at every depth.
-    pub overlap: usize,
 }
 
 impl AnalysisJob {
@@ -99,8 +89,6 @@ impl AnalysisJob {
             max_live_records: None,
             limits: ResourceLimits::default(),
             dot: false,
-            shards: 1,
-            overlap: 1,
         }
     }
 
@@ -131,19 +119,6 @@ impl AnalysisJob {
     /// Render the contracted DDG as DOT.
     pub fn with_dot(mut self, yes: bool) -> AnalysisJob {
         self.dot = yes;
-        self
-    }
-
-    /// Shard this job's trace fold across cores (`0` = auto, `1` = serial).
-    pub fn with_shards(mut self, shards: usize) -> AnalysisJob {
-        self.shards = shards;
-        self
-    }
-
-    /// Decode the trace ahead of the fold on background threads (`0` =
-    /// auto, `1` = serial, `n >= 2` = `n` batches of lookahead).
-    pub fn with_overlap(mut self, overlap: usize) -> AnalysisJob {
-        self.overlap = overlap;
         self
     }
 }
@@ -415,8 +390,6 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
                 collect: job.collect,
                 max_live_records: job.max_live_records,
                 contracted_dot: job.dot,
-                shards: job.shards,
-                overlap: job.overlap,
                 ..StreamConfig::default()
             })
             .with_ctx(ctx.clone())
@@ -440,19 +413,11 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
             ));
         }
         if let JobInput::TracePath(path) = &job.input {
-            // Sharded file jobs slurp the bytes so a binary trace's
-            // iteration-index footer (when present) plans the shards
-            // without a pre-scan; serial jobs keep the bounded reader.
-            let run = if autocheck_trace::resolve_shard_count(job.shards) > 1 {
-                let bytes =
-                    std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                stream_analyzer().run_bytes(&bytes)
-            } else {
-                let file =
-                    std::fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-                stream_analyzer().run_read(std::io::BufReader::new(file))
-            }
-            .map_err(|e| e.to_string())?;
+            let file =
+                std::fs::File::open(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+            let run = stream_analyzer()
+                .run_read(std::io::BufReader::new(file))
+                .map_err(|e| e.to_string())?;
             return Ok(session_report(
                 job,
                 ctx,
@@ -497,7 +462,6 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
             // bytes, so jobs can point at either kind of trace.
             TraceSource::from_path(path)
                 .ctx(ctx)
-                .overlap(job.overlap)
                 .records()
                 .map_err(|e| format!("cannot read `{path}`: {e}"))?,
             job.index_vars.clone().unwrap_or_default(),
@@ -506,11 +470,10 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
 
     let (report, stream_stats, stream_dot) = if job.stream {
         // MiniLang streaming: the records exist in memory anyway (the
-        // interpreter just produced them); push them through the engine
-        // (`run_records` shards the fold when the job asks for it).
+        // interpreter just produced them); push them through the engine.
         let run = stream_analyzer()
             .with_index_vars(index_vars)
-            .run_records(&records, None)
+            .run_records(&records)
             .map_err(|e| e.to_string())?;
         (run.report, Some(run.stats), run.contracted_dot)
     } else {
@@ -518,8 +481,6 @@ fn run_session_inner(job: &AnalysisJob, ctx: &AnalysisCtx) -> Result<SessionRepo
             .with_index_vars(index_vars)
             .with_config(PipelineConfig {
                 collect: job.collect,
-                shards: job.shards,
-                overlap: job.overlap,
                 ..PipelineConfig::default()
             })
             .with_ctx(ctx.clone());

@@ -20,13 +20,8 @@ use crate::preprocess::{CollectMode, MliVar};
 use crate::region::Region;
 use crate::report::{Report, Timings};
 use autocheck_obs::TimerId;
-use autocheck_stream::{
-    run_sharded, Engine, EngineConfig, EngineError, EngineOutcome, LiveBoundExceeded,
-};
-use autocheck_trace::{
-    resolve_overlap_depth, resolve_shard_count, AnalysisCtx, Record, ResourceExceeded,
-    TraceReadError, TraceSource,
-};
+use autocheck_stream::{Engine, EngineConfig, EngineError, LiveBoundExceeded};
+use autocheck_trace::{AnalysisCtx, Record, ResourceExceeded, TraceReadError, TraceSource};
 use std::fmt;
 use std::io;
 use std::time::Instant;
@@ -45,19 +40,6 @@ pub struct StreamConfig {
     /// DOT ([`StreamRun::contracted_dot`]). The graph is bounded by the
     /// program, so this keeps the O(live window) memory story intact.
     pub contracted_dot: bool,
-    /// Iteration-aligned shards for the engine fold: `1` = serial, `0` =
-    /// one per available core, `N` = at most `N` workers. Sharded runs
-    /// produce byte-identical reports and DOT output, but materialize the
-    /// records (sharding is a wall-clock optimization for traces that fit
-    /// in memory; the O(live window) story belongs to the serial stream)
-    /// and enforce the live-record bound per shard rather than globally.
-    pub shards: usize,
-    /// Decode-ahead depth for reader/path inputs: `1` = serial (the
-    /// default), `0` = auto (serial on single-core hosts), `n >= 2` = read
-    /// and decode the trace on background threads, `n` record batches
-    /// ahead of the engine fold. Output is byte-identical to serial at
-    /// every depth; see [`autocheck_trace::resolve_overlap_depth`].
-    pub overlap: usize,
 }
 
 impl Default for StreamConfig {
@@ -67,8 +49,6 @@ impl Default for StreamConfig {
             selective: true,
             max_live_records: None,
             contracted_dot: false,
-            shards: 1,
-            overlap: 1,
         }
     }
 }
@@ -229,117 +209,48 @@ impl StreamAnalyzer {
 
     /// Analyze already-materialized records through the streaming engine —
     /// the drop-in equivalent of [`crate::Analyzer::analyze`], used by the
-    /// equivalence tests. Honors [`StreamConfig::shards`].
+    /// equivalence tests.
     pub fn analyze(&self, records: &[Record]) -> Result<Report, StreamError> {
-        self.run_records(records, None).map(|run| run.report)
+        self.run_records(records).map(|run| run.report)
     }
 
-    /// Analyze materialized records, serial or sharded per
-    /// [`StreamConfig::shards`], returning the full [`StreamRun`].
-    ///
-    /// `boundaries` are iteration-start record indices when already known
-    /// (e.g. from the binary format's iteration-index footer); `None` lets
-    /// the sharded path run one region-tracker scan.
-    pub fn run_records(
-        &self,
-        records: &[Record],
-        boundaries: Option<&[u64]>,
-    ) -> Result<StreamRun, StreamError> {
-        let shards = resolve_shard_count(self.config.shards);
-        if shards <= 1 {
-            let mut session = self.session();
-            for r in records {
-                session.push(r)?;
-            }
-            return Ok(session.finish());
+    /// Analyze materialized records, returning the full [`StreamRun`].
+    pub fn run_records(&self, records: &[Record]) -> Result<StreamRun, StreamError> {
+        let mut session = self.session();
+        for r in records {
+            session.push(r)?;
         }
-        let t0 = Instant::now();
-        let outcome = run_sharded(
-            &self.engine_config(),
-            &self.ctx,
-            records,
-            boundaries,
-            shards,
-        )?;
-        let ingest = t0.elapsed();
-        Ok(finish_outcome(
-            move || outcome,
-            &self.ctx,
-            &self.index_vars,
-            self.region.start_line,
-            self.config.max_live_records,
-            self.config.contracted_dot,
-            ingest,
-        ))
+        Ok(session.finish())
     }
 
     /// Analyze a trace pulled from any reader (file, pipe, socket, …) with
     /// bounded buffering — the streaming equivalent of
     /// [`crate::Analyzer::analyze_text`].
-    pub fn analyze_read<R: io::Read + Send>(&self, reader: R) -> Result<Report, StreamError> {
+    pub fn analyze_read<R: io::Read>(&self, reader: R) -> Result<Report, StreamError> {
         self.run_read(reader).map(|run| run.report)
     }
 
     /// Like [`analyze_read`](Self::analyze_read), also returning the
-    /// live-window statistics. With [`StreamConfig::shards`] above 1 the
-    /// records are materialized first (see [`StreamConfig::shards`] for
-    /// the trade). With [`StreamConfig::overlap`] above 1 the trace is
-    /// read and decoded on background threads while the engine folds —
-    /// same output, decode wall overlapped away.
-    pub fn run_read<R: io::Read + Send>(&self, reader: R) -> Result<StreamRun, StreamError> {
-        if resolve_shard_count(self.config.shards) > 1 {
-            // Overlap accelerates the materialization that feeds the
-            // sharded fold; the two compose.
-            let records = TraceSource::from_reader(reader)
-                .ctx(&self.ctx)
-                .overlap(self.config.overlap)
-                .records()?;
-            return self.run_records(&records, None);
-        }
-        if resolve_overlap_depth(self.config.overlap) > 1 {
-            return TraceSource::from_reader(reader)
-                .ctx(&self.ctx)
-                .overlap(self.config.overlap)
-                .overlapped(|batches| {
-                    let mut session = self.session();
-                    while let Some(batch) = batches.next_batch() {
-                        for record in &batch? {
-                            session.push(record)?;
-                        }
-                    }
-                    Ok(session.finish())
-                })?;
-        }
+    /// live-window statistics. The report's ingest figure starts before
+    /// the trace header is read, so it covers the whole call.
+    pub fn run_read<R: io::Read>(&self, reader: R) -> Result<StreamRun, StreamError> {
         let mut session = self.session();
+        session.started = Some(Instant::now());
         let stream = TraceSource::from_reader(reader).ctx(&self.ctx).stream()?;
         for item in stream {
             session.push(&item?)?;
         }
         Ok(session.finish())
     }
-
-    /// Analyze an in-memory trace in either format. Binary traces carrying
-    /// an iteration-index footer hand the shard planner its boundaries in
-    /// O(index) — no extra scan.
-    pub fn run_bytes(&self, bytes: &[u8]) -> Result<StreamRun, StreamError> {
-        if resolve_shard_count(self.config.shards) <= 1 {
-            return self.run_read(bytes);
-        }
-        let boundaries = autocheck_trace::binary::iteration_index(bytes)
-            .ok()
-            .flatten();
-        let records = TraceSource::from_bytes(bytes).ctx(&self.ctx).records()?;
-        self.run_records(&records, boundaries.as_deref())
-    }
 }
 
 /// An in-flight streaming analysis.
 ///
 /// Timing semantics: the report's ingest (pre-processing) figure is the
-/// wall-clock span from the **first push** to [`finish`](Self::finish).
-/// When records are pulled from a reader ([`StreamAnalyzer::run_read`]) or
-/// pushed in a tight loop ([`StreamAnalyzer::analyze`]) that is pure
-/// analysis time; in interpreter-direct mode (a sink pushing as the program
+/// wall-clock span from the **first push** to [`finish`](Self::finish)
+/// ([`StreamAnalyzer::run_read`] starts it earlier, before the trace header
+/// is read). When records are pulled from a reader or pushed in a tight
+/// loop ([`StreamAnalyzer::analyze`]) that is pure analysis time; in interpreter-direct mode (a sink pushing as the program
 /// runs) trace generation and analysis are fused, so the span deliberately
 /// includes program execution — there is no separable analysis time to
 /// report, and the figure must not be compared against batch pre-processing.
@@ -388,106 +299,83 @@ impl StreamSession {
             .started
             .map(|t| t.elapsed())
             .unwrap_or(std::time::Duration::ZERO);
-        finish_outcome(
-            || self.engine.finish(),
-            &self.ctx,
-            &self.index_vars,
-            self.region_start,
-            self.live_bound,
-            self.contracted_dot,
-            ingest,
-        )
-    }
-}
+        let ctx = &self.ctx;
+        let metrics = ctx.metrics().clone();
+        // The fused online pass is the streaming counterpart of
+        // pre-processing; the ledger books it there. Finalization (retiring
+        // windows, freezing the graph) is booked as identification.
+        metrics.record_duration(TimerId::Preprocess, ingest);
+        let t1 = Instant::now();
+        let outcome = self.engine.finish();
 
-/// The shared finish step: classification, optional contraction, and report
-/// assembly over an [`EngineOutcome`] — one implementation whether the
-/// outcome came from a serial [`StreamSession`] or a sharded merge.
-/// `outcome` is a closure so serial finalization (retiring windows,
-/// freezing the graph) is booked inside the identify stage, exactly as
-/// before.
-fn finish_outcome(
-    outcome: impl FnOnce() -> EngineOutcome,
-    ctx: &AnalysisCtx,
-    index_vars: &[String],
-    region_start: u32,
-    live_bound: Option<usize>,
-    render_contracted_dot: bool,
-    ingest: std::time::Duration,
-) -> StreamRun {
-    let metrics = ctx.metrics().clone();
-    // The fused online pass is the streaming counterpart of
-    // pre-processing; the ledger books it there.
-    metrics.record_duration(TimerId::Preprocess, ingest);
-    let t1 = Instant::now();
-    let outcome = outcome();
+        // `MliVar` *is* the engine's entry type — no conversion, the same
+        // values flow into the report that the batch pipeline would build.
+        let mli: Vec<MliVar> = outcome.mli;
 
-    // `MliVar` *is* the engine's entry type — no conversion, the same
-    // values flow into the report that the batch pipeline would build.
-    let mli: Vec<MliVar> = outcome.mli;
+        // The exact selection the batch `classify` performs — same shared
+        // function, driven by the shared decision heuristics over the
+        // engine's folded statistics.
+        let (critical, skipped) =
+            crate::classify::select(&mli, &self.index_vars, self.region_start, ctx, |var| {
+                let stats = outcome
+                    .stats
+                    .get(&var.base_addr)
+                    .copied()
+                    .unwrap_or_default();
+                crate::classify::decide(&stats, var.size)
+            });
 
-    // The exact selection the batch `classify` performs — same shared
-    // function, driven by the shared decision heuristics over the
-    // engine's folded statistics.
-    let (critical, skipped) = crate::classify::select(&mli, index_vars, region_start, ctx, |var| {
-        let stats = outcome
-            .stats
-            .get(&var.base_addr)
-            .copied()
-            .unwrap_or_default();
-        crate::classify::decide(&stats, var.size)
-    });
+        let identify = t1.elapsed();
+        metrics.record_duration(TimerId::Identify, identify);
 
-    let identify = t1.elapsed();
-    metrics.record_duration(TimerId::Identify, identify);
-
-    // Streaming contraction (Algorithm 1 on the frozen CSR graph):
-    // available online for the first time because the engine's graph
-    // *is* the shared graph the batch pipeline contracts. Booked as the
-    // `contract` timing stage, exactly like the batch pipeline.
-    let mut ddg = crate::report::DdgSummary {
-        nodes: outcome.ddg.len(),
-        edges: outcome.ddg.edge_count(),
-        ..Default::default()
-    };
-    let mut contract = std::time::Duration::ZERO;
-    let contracted_dot = if render_contracted_dot {
-        let t = metrics.timed(TimerId::Contract);
-        let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
-        contract = t.finish();
-        ddg.contracted_nodes = contracted.nodes.len();
-        ddg.contracted_edges = contracted.edges.len();
-        Some(contracted.to_dot())
-    } else {
-        None
-    };
-    if metrics.is_enabled() {
-        crate::observe::note_session_symbols(ctx);
-    }
-    StreamRun {
-        report: Report {
-            mli,
-            critical,
-            skipped,
-            iterations: outcome.iterations,
-            records: outcome.records,
-            timings: Timings {
-                preprocess: ingest,
-                dependency: std::time::Duration::ZERO,
-                identify,
-                contract,
+        // Streaming contraction (Algorithm 1 on the frozen CSR graph):
+        // available online for the first time because the engine's graph
+        // *is* the shared graph the batch pipeline contracts. Booked as the
+        // `contract` timing stage, exactly like the batch pipeline.
+        let mut ddg = crate::report::DdgSummary {
+            nodes: outcome.ddg.len(),
+            edges: outcome.ddg.edge_count(),
+            ..Default::default()
+        };
+        let mut contract = std::time::Duration::ZERO;
+        let contracted_dot = if self.contracted_dot {
+            let t = metrics.timed(TimerId::Contract);
+            let contracted = crate::contract::contract_for_mli_in(&outcome.ddg, &mli, &metrics);
+            contract = t.finish();
+            ddg.contracted_nodes = contracted.nodes.len();
+            ddg.contracted_edges = contracted.edges.len();
+            Some(contracted.to_dot())
+        } else {
+            None
+        };
+        if metrics.is_enabled() {
+            crate::observe::note_session_symbols(ctx);
+        }
+        StreamRun {
+            report: Report {
+                mli,
+                critical,
+                skipped,
+                iterations: outcome.iterations,
+                records: outcome.records,
+                timings: Timings {
+                    preprocess: ingest,
+                    dependency: std::time::Duration::ZERO,
+                    identify,
+                    contract,
+                },
+                ddg,
             },
-            ddg,
-        },
-        stats: StreamStats {
-            peak_live_records: outcome.peak_live_records,
-            live_bound,
-            // Derived from the one DdgSummary source so the stats can
-            // never desynchronize from the report.
-            ddg_nodes: ddg.nodes,
-            ddg_edges: ddg.edges,
-        },
-        contracted_dot,
+            stats: StreamStats {
+                peak_live_records: outcome.peak_live_records,
+                live_bound: self.live_bound,
+                // Derived from the one DdgSummary source so the stats can
+                // never desynchronize from the report.
+                ddg_nodes: ddg.nodes,
+                ddg_edges: ddg.edges,
+            },
+            contracted_dot,
+        }
     }
 }
 
@@ -642,74 +530,53 @@ int main() {
         assert_reports_match(&batch, &stream);
     }
 
-    #[test]
-    fn sharded_streaming_matches_serial() {
-        let (module, records) = fig4_records();
-        let region = Region::new("main", 13, 21);
-        let index = index_variables_of(&module, &region);
-        let serial = StreamAnalyzer::new(region.clone())
-            .with_index_vars(index.clone())
-            .with_config(StreamConfig {
-                contracted_dot: true,
-                ..StreamConfig::default()
-            })
-            .run_records(&records, None)
-            .expect("serial");
-        // 0 = auto, 64 exceeds the iteration count → graceful degradation.
-        for shards in [0usize, 2, 3, 4, 8, 64] {
-            let sharded = StreamAnalyzer::new(region.clone())
-                .with_index_vars(index.clone())
-                .with_config(StreamConfig {
-                    contracted_dot: true,
-                    shards,
-                    ..StreamConfig::default()
-                })
-                .run_records(&records, None)
-                .unwrap_or_else(|e| panic!("shards={shards}: {e}"));
-            assert_reports_match(&serial.report, &sharded.report);
-            assert_eq!(serial.report.ddg.nodes, sharded.report.ddg.nodes);
-            assert_eq!(serial.report.ddg.edges, sharded.report.ddg.edges);
-            assert_eq!(
-                serial.contracted_dot, sharded.contracted_dot,
-                "contracted DOT must be byte-identical at shards={shards}"
-            );
+    /// A version-2 binary trace: `records` plus an iteration-index footer
+    /// holding `bounds`, laid out as the earlier footer-writing release
+    /// did (writers now emit version 1 only).
+    fn v2_bytes(records: &[Record], bounds: &[u64], ctx: &AnalysisCtx) -> Vec<u8> {
+        use autocheck_trace::binary::{to_bytes, INDEX_MAGIC, VERSION_INDEXED};
+        let mut bytes = to_bytes(records, ctx);
+        bytes[4..6].copy_from_slice(&VERSION_INDEXED.to_le_bytes());
+        let count = (bounds.len() as u32).to_le_bytes();
+        bytes.extend_from_slice(&INDEX_MAGIC);
+        bytes.extend_from_slice(&count);
+        for b in bounds {
+            bytes.extend_from_slice(&b.to_le_bytes());
         }
+        bytes.extend_from_slice(&count);
+        bytes.extend_from_slice(&INDEX_MAGIC);
+        bytes
     }
 
     #[test]
-    fn sharded_run_bytes_reads_the_iteration_index_footer() {
+    fn v2_footer_trace_reads_like_its_v1_twin() {
         let (module, records) = fig4_records();
         let region = Region::new("main", 13, 21);
-        let index = index_variables_of(&module, &region);
-        let serial = StreamAnalyzer::new(region.clone())
-            .with_index_vars(index.clone())
-            .analyze(&records)
-            .expect("serial");
+        let analyzer = StreamAnalyzer::new(region.clone())
+            .with_index_vars(index_variables_of(&module, &region));
+        let ctx = &analyzer.ctx;
+        let v1 = autocheck_trace::binary::to_bytes(&records, ctx);
+        let v2 = v2_bytes(&records, &[100, 200, 300], ctx);
 
-        let analyzer = StreamAnalyzer::new(region)
-            .with_index_vars(index)
-            .with_config(StreamConfig {
-                shards: 4,
-                ..StreamConfig::default()
-            });
-        // Binary trace with the v2 iteration-index footer: the sharded
-        // reader plans directly from the footer, no pre-scan.
-        let bounds = {
-            use autocheck_stream::region::RegionTracker;
-            let mut tracker = RegionTracker::with_ctx(&analyzer.ctx, "main", 13, 21);
-            let annots: Vec<_> = records.iter().map(|r| tracker.annotate(r)).collect();
-            autocheck_stream::boundaries_from_annots(&annots)
+        let read = |bytes: &[u8]| TraceSource::from_bytes(bytes).ctx(ctx).records().unwrap();
+        assert_eq!(read(&v2), read(&v1));
+        assert_eq!(read(&v2), records);
+        let stream = |bytes: &[u8]| {
+            TraceSource::from_reader(bytes)
+                .ctx(ctx)
+                .stream()
+                .unwrap()
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap()
         };
-        assert!(!bounds.is_empty(), "fig4 must expose iteration boundaries");
-        let bytes = autocheck_trace::binary::to_bytes_with_index(&records, bounds, &analyzer.ctx);
-        let sharded = analyzer.run_bytes(&bytes).expect("sharded from footer");
-        assert_reports_match(&serial, &sharded.report);
+        assert_eq!(stream(&v2), stream(&v1));
 
-        // A plain v1 binary (no footer) still works: the planner falls back
-        // to an annotation pre-scan of the materialized records.
-        let plain = autocheck_trace::binary::to_bytes(&records, &analyzer.ctx);
-        let fallback = analyzer.run_bytes(&plain).expect("sharded without footer");
-        assert_reports_match(&serial, &fallback.report);
+        let from_v1 = analyzer.run_read(&v1[..]).expect("v1");
+        let from_v2 = analyzer.run_read(&v2[..]).expect("v2");
+        assert_reports_match(&from_v1.report, &from_v2.report);
+        assert_eq!(from_v1.report.summary(), from_v2.report.summary());
+        assert_eq!(from_v1.report.ddg.nodes, from_v2.report.ddg.nodes);
+        assert_eq!(from_v1.report.ddg.edges, from_v2.report.ddg.edges);
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //!   execution at a chosen dynamic instruction, our deterministic stand-in
 //!   for the paper's `raise(SIGTERM)` fail-stop (§VI-B).
 
+#![forbid(unsafe_code)]
+
 pub mod emit;
 pub mod error;
 pub mod hooks;

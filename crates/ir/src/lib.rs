@@ -32,6 +32,8 @@
 //! * [`verify`] — a structural and type verifier;
 //! * [`printer`] — a human-readable textual dump.
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cfg;
 pub mod dom;

@@ -46,6 +46,8 @@
 //! Builtins: `print`, `sqrt`, `pow`, `fabs`, `abs`, `exp`, `log`, `cos`,
 //! `sin`, `floor`, `fmax`, `fmin`.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

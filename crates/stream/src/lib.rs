@@ -47,27 +47,22 @@
 //! from [`stats::VarStats`] through one shared function, so the batch and
 //! streaming paths cannot drift apart.
 
+#![forbid(unsafe_code)]
+
 pub mod ddg;
 pub mod engine;
 pub mod graph;
 pub mod mli;
 pub mod prov;
 pub mod region;
-pub mod shard;
 pub mod stats;
 
 pub use ddg::{AccessEvent, DdgBuilder};
-pub use engine::{
-    Engine, EngineConfig, EngineError, EngineOutcome, EngineShardState, LiveBoundExceeded,
-};
+pub use engine::{Engine, EngineConfig, EngineError, EngineOutcome, LiveBoundExceeded};
 pub use graph::{CsrGraph, DotWriter, Graph, NodeKind};
 pub use mli::{Collect, MliCollector, MliEntry};
 pub use prov::{relevant_opcode, resolve_alias, Provenance};
 pub use region::{Phase, RegionTracker, StreamAnnot};
-pub use shard::{
-    boundaries_from_annots, fold_ddg_sharded, fold_mli_sharded, iteration_boundaries,
-    merge_shard_states, merge_var_stats, run_planned, run_sharded,
-};
 pub use stats::{VarStats, VarStatsBuilder};
 // The dense node-id interner moved next to `NameMap` in `autocheck-trace`;
 // re-exported here for continuity.

@@ -49,7 +49,8 @@
 //!   6   4  name payload    temp number or string-table index, else 0
 //!   10  1  value kind      0 = none, 1 = int, 2 = float, 3 = pointer
 //!   11  8  value payload   i64 / f64 bit pattern / u64, else 0
-//! iteration-index footer (version 2 only, after the last record)
+//! iteration-index footer (version 2 only, after the last record; read,
+//! never written)
 //!   0   4  index magic     41 49 58 31 ("AIX1")
 //!   4   4  boundary count  u32
 //!   8   8n boundaries      record indices where a new region iteration
@@ -59,10 +60,11 @@
 //!   ..  4  index magic     repeated (backward parse)
 //! ```
 //!
-//! The footer makes shard planning ([`crate::shard`]) O(index): a seekable
-//! reader parses it straight off the end of the file, and the streaming
-//! reader consumes it after the declared records. Version-1 files carry no
-//! footer and remain byte-identical to what earlier writers emitted.
+//! Writers emit version 1, which carries no footer. Version-2 files, whose
+//! footer an earlier release wrote, still read: the zero-copy reader
+//! parses the footer backward off the end of the buffer, the streaming
+//! reader consumes it after the declared records, and both validate it in
+//! full before ignoring it.
 //!
 //! The writer is **buffered**: record bytes and the growing string table
 //! accumulate in memory and the complete file — header, then string table,
@@ -92,10 +94,10 @@ pub const MAGIC: [u8; 4] = [0xB7, b'A', b'C', b'T'];
 /// The current format version.
 pub const VERSION: u16 = 1;
 
-/// Format version for files carrying the optional iteration-index footer
-/// (see the module docs). Files without a footer keep [`VERSION`] and stay
-/// byte-identical to what older writers produced; version-1 readers reject
-/// version-2 files rather than misread the footer as trailing garbage.
+/// Format version for files carrying the iteration-index footer (see the
+/// module docs). Readers accept and validate it; writers no longer emit
+/// it. Version-1 readers reject version-2 files rather than misread the
+/// footer as trailing garbage.
 pub const VERSION_INDEXED: u16 = 2;
 
 /// Magic bytes framing the iteration-index footer at **both** ends, so it
@@ -174,8 +176,6 @@ pub struct BinaryWriter<W: Write> {
     /// Accumulated record-section bytes.
     records: Vec<u8>,
     record_count: u64,
-    /// Iteration boundaries to emit as a version-2 footer, when set.
-    index: Option<Vec<u64>>,
 }
 
 impl<W: Write> BinaryWriter<W> {
@@ -193,17 +193,7 @@ impl<W: Write> BinaryWriter<W> {
             sym_index: FxHashMap::default(),
             records: Vec::new(),
             record_count: 0,
-            index: None,
         }
-    }
-
-    /// Emit an iteration-index footer at [`finish`](Self::finish) and stamp
-    /// the file [`VERSION_INDEXED`]. `bounds` are the record indices where
-    /// a new region iteration starts — strictly increasing, each within
-    /// the records actually written (checked at `finish`, where the final
-    /// record count is known).
-    pub fn set_iteration_index(&mut self, bounds: Vec<u64>) {
-        self.index = Some(bounds);
     }
 
     fn file_sym(&mut self, id: SymId) -> io::Result<u32> {
@@ -295,37 +285,22 @@ impl<W: Write> BinaryWriter<W> {
     }
 
     /// Size of the complete file as buffered so far (header + string table
-    /// + records + any pending iteration-index footer), in bytes.
+    /// + records), in bytes.
     pub fn bytes_written(&self) -> u64 {
         let strtab: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
-        let footer = self
-            .index
-            .as_ref()
-            .map(|b| INDEX_FRAME_BYTES + b.len() * 8)
-            .unwrap_or(0);
-        (HEADER_BYTES + strtab + self.records.len() + footer) as u64
+        (HEADER_BYTES + strtab + self.records.len()) as u64
     }
 
-    /// Emit header, string table, records and (when set) the
-    /// iteration-index footer; flush; return the inner writer.
+    /// Emit header, string table and records; flush; return the inner
+    /// writer.
     pub fn finish(mut self) -> io::Result<W> {
-        if let Some(bounds) = &self.index {
-            check_boundaries(bounds, self.record_count, 0).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidInput, format!("iteration index: {e}"))
-            })?;
-        }
         let strtab_len: usize = self.strings.iter().map(|s| 2 + s.len()).sum();
         let strtab_len = u32::try_from(strtab_len).map_err(|_| {
             io::Error::new(io::ErrorKind::InvalidInput, "string table exceeds 4 GiB")
         })?;
-        let version = if self.index.is_some() {
-            VERSION_INDEXED
-        } else {
-            VERSION
-        };
         let mut head = Vec::with_capacity(HEADER_BYTES + strtab_len as usize);
         head.extend_from_slice(&MAGIC);
-        head.extend_from_slice(&version.to_le_bytes());
+        head.extend_from_slice(&VERSION.to_le_bytes());
         head.extend_from_slice(&0u16.to_le_bytes());
         head.extend_from_slice(&self.record_count.to_le_bytes());
         head.extend_from_slice(&(self.strings.len() as u32).to_le_bytes());
@@ -336,9 +311,6 @@ impl<W: Write> BinaryWriter<W> {
         }
         self.out.write_all(&head)?;
         self.out.write_all(&self.records)?;
-        if let Some(bounds) = &self.index {
-            self.out.write_all(&encode_footer(bounds))?;
-        }
         self.out.flush()?;
         Ok(self.out)
     }
@@ -358,18 +330,6 @@ pub fn to_bytes(records: &[Record], ctx: &AnalysisCtx) -> Vec<u8> {
     for r in records {
         w.write_record(r).expect("in-memory binary encode");
     }
-    w.finish().expect("in-memory binary encode")
-}
-
-/// Like [`to_bytes`], with an iteration-index footer (version-2 file).
-/// Panics on an invalid index — callers computing boundaries from a real
-/// record scan cannot produce one.
-pub fn to_bytes_with_index(records: &[Record], bounds: Vec<u64>, ctx: &AnalysisCtx) -> Vec<u8> {
-    let mut w = BinaryWriter::with_ctx(Vec::new(), ctx);
-    for r in records {
-        w.write_record(r).expect("in-memory binary encode");
-    }
-    w.set_iteration_index(bounds);
     w.finish().expect("in-memory binary encode")
 }
 
@@ -469,7 +429,9 @@ fn parse_footer_tail(
     Ok((bounds, footer_len))
 }
 
-/// Encode the iteration-index footer.
+/// Encode the iteration-index footer (the inverse of [`parse_footer_tail`],
+/// which the footer tests round-trip through).
+#[cfg(test)]
 fn encode_footer(bounds: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(INDEX_FRAME_BYTES + bounds.len() * 8);
     out.extend_from_slice(&INDEX_MAGIC);
@@ -480,24 +442,6 @@ fn encode_footer(bounds: &[u64]) -> Vec<u8> {
     out.extend_from_slice(&(bounds.len() as u32).to_le_bytes());
     out.extend_from_slice(&INDEX_MAGIC);
     out
-}
-
-/// Read the iteration-index footer off a complete in-memory binary trace
-/// without decoding any record: `Ok(Some(...))` for version-2 files,
-/// `Ok(None)` for version-1 files (no footer). O(footer), no symbol
-/// interning — this is what shard planning calls first.
-pub fn iteration_index(bytes: &[u8]) -> Result<Option<Vec<u64>>, TraceReadError> {
-    let head: &[u8; HEADER_BYTES] = bytes
-        .get(..HEADER_BYTES)
-        .and_then(|b| b.try_into().ok())
-        .ok_or_else(|| berr(bytes.len() as u64, "truncated header"))?;
-    let (version, record_count, _, strtab_len) = parse_header_fields(head)?;
-    if version != VERSION_INDEXED {
-        return Ok(None);
-    }
-    let floor = HEADER_BYTES + strtab_len as usize;
-    let (bounds, _) = parse_footer_tail(bytes, floor, record_count)?;
-    Ok(Some(bounds))
 }
 
 /// Decode + intern one string-table section. `base` is the section's byte
@@ -658,8 +602,6 @@ pub struct BinaryReader<'a> {
     at: usize,
     /// End of the record section (`bytes.len()` minus any footer).
     body_end: usize,
-    /// Iteration boundaries from the version-2 footer, when present.
-    index: Option<Vec<u64>>,
     yielded: u64,
     failed: bool,
 }
@@ -679,11 +621,11 @@ impl<'a> BinaryReader<'a> {
             .ok_or_else(|| berr(HEADER_BYTES as u64, "string table overruns the file"))?;
         let syms = intern_strtab(strtab, string_count, HEADER_BYTES as u64, ctx)?;
         let at = HEADER_BYTES + strtab_len as usize;
-        let (index, body_end) = if version == VERSION_INDEXED {
-            let (bounds, footer_len) = parse_footer_tail(bytes, at, record_count)?;
-            (Some(bounds), bytes.len() - footer_len)
+        let body_end = if version == VERSION_INDEXED {
+            let (_, footer_len) = parse_footer_tail(bytes, at, record_count)?;
+            bytes.len() - footer_len
         } else {
-            (None, bytes.len())
+            bytes.len()
         };
         Ok(BinaryReader {
             bytes,
@@ -691,7 +633,6 @@ impl<'a> BinaryReader<'a> {
             record_count,
             at,
             body_end,
-            index,
             yielded: 0,
             failed: false,
         })
@@ -705,11 +646,6 @@ impl<'a> BinaryReader<'a> {
     /// The interned symbol table (file order).
     pub fn symbols(&self) -> &[SymId] {
         &self.syms
-    }
-
-    /// The iteration-index footer's boundaries, when the file carries one.
-    pub fn iteration_index(&self) -> Option<&[u64]> {
-        self.index.as_deref()
     }
 
     /// Decode every record serially.
@@ -1306,30 +1242,45 @@ mod tests {
         assert_eq!(bytes.len() as u64, predicted);
     }
 
-    #[test]
-    fn iteration_index_round_trips_on_every_reader() {
-        let ctx = AnalysisCtx::session();
-        let recs = sample_records(&ctx);
-        let bounds = vec![7u64, 19, 23, 41];
-        let bytes = to_bytes_with_index(&recs, bounds.clone(), &ctx);
-        // O(footer) standalone probe.
-        assert_eq!(iteration_index(&bytes).unwrap(), Some(bounds.clone()));
-        // Zero-copy reader: exposes the index and still decodes all records.
-        let reader = BinaryReader::open(&bytes, &ctx).unwrap();
-        assert_eq!(reader.iteration_index(), Some(&bounds[..]));
+    /// A version-2 file: `records` plus an iteration-index footer holding
+    /// `bounds`, laid out as the earlier footer-writing release did.
+    fn to_bytes_with_footer(records: &[Record], bounds: &[u64], ctx: &AnalysisCtx) -> Vec<u8> {
+        let mut bytes = to_bytes(records, ctx);
+        bytes[4..6].copy_from_slice(&VERSION_INDEXED.to_le_bytes());
+        bytes.extend_from_slice(&encode_footer(bounds));
+        bytes
+    }
+
+    /// Every reader decodes a footered file to exactly the records of its
+    /// footerless twin.
+    fn assert_every_reader_decodes(bytes: &[u8], recs: &[Record], ctx: &AnalysisCtx) {
+        let reader = BinaryReader::open(bytes, ctx).unwrap();
         assert_eq!(reader.read_all().unwrap(), recs);
         // Parallel decode ends at the footer, not the file end.
-        let par = BinaryReader::open(&bytes, &ctx)
+        let par = BinaryReader::open(bytes, ctx)
             .unwrap()
             .read_all_parallel(3)
             .unwrap();
         assert_eq!(par, recs);
         // Streaming reader consumes and validates the footer, then EOF.
-        let streamed: Vec<Record> = BinaryStreamReader::open(&bytes[..], &ctx)
+        let streamed: Vec<Record> = BinaryStreamReader::open(bytes, ctx)
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(streamed, recs);
+    }
+
+    #[test]
+    fn iteration_index_round_trips_on_every_reader() {
+        let ctx = AnalysisCtx::session();
+        let recs = sample_records(&ctx);
+        let bounds = vec![7u64, 19, 23, 41];
+        let bytes = to_bytes_with_footer(&recs, &bounds, &ctx);
+        let (parsed, footer_len) =
+            parse_footer_tail(&bytes, HEADER_BYTES, recs.len() as u64).unwrap();
+        assert_eq!(parsed, bounds);
+        assert_eq!(footer_len, INDEX_FRAME_BYTES + bounds.len() * 8);
+        assert_every_reader_decodes(&bytes, &recs, &ctx);
     }
 
     #[test]
@@ -1338,44 +1289,42 @@ mod tests {
         let recs = sample_records(&ctx);
         let bytes = to_bytes(&recs, &ctx);
         assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), VERSION);
-        assert_eq!(iteration_index(&bytes).unwrap(), None);
-        assert_eq!(
-            BinaryReader::open(&bytes, &ctx).unwrap().iteration_index(),
-            None
-        );
+        assert!(!bytes.ends_with(&INDEX_MAGIC));
+        // The footered twin is the same bytes plus version and footer.
+        let v2 = to_bytes_with_footer(&recs, &[7], &ctx);
+        assert_eq!(bytes[6..], v2[6..bytes.len()]);
     }
 
     #[test]
     fn empty_iteration_index_is_valid() {
         let ctx = AnalysisCtx::session();
         let recs = sample_records(&ctx);
-        let bytes = to_bytes_with_index(&recs, Vec::new(), &ctx);
-        assert_eq!(iteration_index(&bytes).unwrap(), Some(Vec::new()));
+        let bytes = to_bytes_with_footer(&recs, &[], &ctx);
         assert_eq!(
-            BinaryReader::open(&bytes, &ctx)
+            parse_footer_tail(&bytes, HEADER_BYTES, recs.len() as u64)
                 .unwrap()
-                .read_all()
-                .unwrap(),
-            recs
+                .0,
+            Vec::<u64>::new()
         );
-        let streamed: Vec<Record> = BinaryStreamReader::open(&bytes[..], &ctx)
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(streamed, recs);
+        assert_every_reader_decodes(&bytes, &recs, &ctx);
     }
 
     #[test]
-    fn writer_rejects_invalid_iteration_index() {
+    fn invalid_iteration_indices_are_rejected_by_both_readers() {
         let ctx = AnalysisCtx::session();
         let recs = sample_records(&ctx);
         for bad in [vec![5u64, 5], vec![9, 3], vec![0], vec![recs.len() as u64]] {
-            let mut w = BinaryWriter::with_ctx(Vec::new(), &ctx);
-            for r in &recs {
-                w.write_record(r).unwrap();
-            }
-            w.set_iteration_index(bad.clone());
-            assert!(w.finish().is_err(), "index {bad:?} must be rejected");
+            let bytes = to_bytes_with_footer(&recs, &bad, &ctx);
+            assert!(
+                BinaryReader::open(&bytes, &ctx).is_err(),
+                "zero-copy reader must reject index {bad:?}"
+            );
+            assert!(
+                BinaryStreamReader::open(&bytes[..], &ctx)
+                    .and_then(|r| r.collect::<Result<Vec<_>, _>>())
+                    .is_err(),
+                "streaming reader must reject index {bad:?}"
+            );
         }
     }
 
@@ -1383,7 +1332,7 @@ mod tests {
     fn hostile_footers_are_rejected_by_both_readers() {
         let ctx = AnalysisCtx::session();
         let recs = sample_records(&ctx);
-        let good = to_bytes_with_index(&recs, vec![7, 19], &ctx);
+        let good = to_bytes_with_footer(&recs, &[7, 19], &ctx);
         let footer_start = good.len() - (INDEX_FRAME_BYTES + 2 * 8);
 
         let mut bad_magic = good.clone();

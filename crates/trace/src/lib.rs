@@ -33,6 +33,8 @@
 //!   `<is_reg>` is `1` when the operand names a register (then `<name>` is
 //!   the register/variable name) and `0` for immediates (empty name).
 
+#![forbid(unsafe_code)]
+
 pub mod binary;
 pub mod chunk;
 pub mod ctx;
@@ -42,12 +44,10 @@ pub mod limits;
 pub mod name;
 pub mod namemap;
 pub mod nodeindex;
-pub mod overlap;
 pub mod parallel;
 pub mod parser;
 pub mod reader;
 pub mod record;
-pub mod shard;
 pub mod source;
 pub mod stats;
 pub mod writer;
@@ -61,17 +61,10 @@ pub use limits::{parse_limit_arg, ResourceExceeded, ResourceKind, ResourceLimits
 pub use name::Name;
 pub use namemap::{NameMap, NameSet};
 pub use nodeindex::NodeIndex;
-pub use overlap::{resolve_overlap_depth, BatchStream};
-#[allow(deprecated)]
-pub use parallel::{
-    parse_parallel, parse_parallel_in, parse_parallel_read, parse_parallel_read_in, ParallelConfig,
-};
-#[allow(deprecated)]
-pub use parser::{parse_str, parse_str_in, ParseError, TraceParser};
-#[allow(deprecated)]
-pub use reader::{parse_read, RecordReader, TraceReadError};
+pub use parallel::ParallelConfig;
+pub use parser::{ParseError, TraceParser};
+pub use reader::{RecordReader, TraceReadError};
 pub use record::{OpTag, Operand, Record, TraceValue};
-pub use shard::{plan_shards, resolve_shard_count};
 pub use source::{TraceFormat, TraceSource, TraceStream};
 pub use stats::TraceStats;
 pub use writer::TraceWriter;

@@ -18,7 +18,7 @@ use crate::reader::TraceReadError;
 use crate::record::Record;
 use std::io::Read;
 
-/// Default bounded-lookahead window for [`parse_parallel_read`] (bytes).
+/// Default bounded-lookahead window for windowed reader ingest (bytes).
 pub const DEFAULT_WINDOW_BYTES: usize = 8 * 1024 * 1024;
 
 /// Configuration for the parallel reader.
@@ -37,101 +37,6 @@ impl Default for ParallelConfig {
                 .unwrap_or(1),
         }
     }
-}
-
-/// Parse a whole trace held in memory with `cfg.threads` workers — a thin
-/// wrapper over the same block-aligned chunk machinery
-/// [`parse_parallel_read`] applies to each lookahead window.
-///
-/// Record order in the result equals serial parse order.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_str(input).parallel(cfg).records()"
-)]
-pub fn parse_parallel(input: &str, cfg: ParallelConfig) -> Result<Vec<Record>, ParseError> {
-    parse_chunks(input, cfg.threads, &AnalysisCtx::current())
-}
-
-/// [`parse_parallel`], interning symbols into `ctx`'s space. Workers build
-/// their parsers from clones of `ctx`, so a session's parallel parse never
-/// touches any other session's symbol table.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_str(input).ctx(ctx).parallel(cfg).records()"
-)]
-pub fn parse_parallel_in(
-    input: &str,
-    cfg: ParallelConfig,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, ParseError> {
-    parse_chunks(input, cfg.threads, ctx)
-}
-
-/// Parse a trace from any [`Read`] with `cfg.threads` workers and the
-/// default bounded lookahead ([`DEFAULT_WINDOW_BYTES`]).
-///
-/// Unlike [`parse_parallel`], the full trace never has to fit in memory as
-/// text: bytes are pulled into a window, the window is cut at the last
-/// block-header boundary, and the complete-block prefix is parsed in
-/// parallel while the partial tail carries into the next window.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_reader(reader).parallel(cfg).records()"
-)]
-pub fn parse_parallel_read<R: Read>(
-    reader: R,
-    cfg: ParallelConfig,
-) -> Result<Vec<Record>, TraceReadError> {
-    parse_windowed_core(
-        reader,
-        cfg.threads,
-        DEFAULT_WINDOW_BYTES,
-        &AnalysisCtx::current(),
-    )
-}
-
-/// [`parse_parallel_read`], interning symbols into `ctx`'s space.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_reader(reader).ctx(ctx).parallel(cfg).records()"
-)]
-pub fn parse_parallel_read_in<R: Read>(
-    reader: R,
-    cfg: ParallelConfig,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, TraceReadError> {
-    parse_windowed_core(reader, cfg.threads, DEFAULT_WINDOW_BYTES, ctx)
-}
-
-/// [`parse_parallel_read`] with an explicit lookahead window size. The
-/// window grows past `window_bytes` only when a single trace block is
-/// larger than the window (blocks are a handful of lines, so in practice
-/// the bound holds).
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_reader(reader).parallel(cfg).window(n).records()"
-)]
-pub fn parse_parallel_read_with_window<R: Read>(
-    reader: R,
-    cfg: ParallelConfig,
-    window_bytes: usize,
-) -> Result<Vec<Record>, TraceReadError> {
-    parse_windowed_core(reader, cfg.threads, window_bytes, &AnalysisCtx::current())
-}
-
-/// [`parse_parallel_read_with_window`], interning symbols into `ctx`'s
-/// space.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_reader(reader).ctx(ctx).parallel(cfg).window(n).records()"
-)]
-pub fn parse_parallel_read_with_window_in<R: Read>(
-    reader: R,
-    cfg: ParallelConfig,
-    window_bytes: usize,
-    ctx: &AnalysisCtx,
-) -> Result<Vec<Record>, TraceReadError> {
-    parse_windowed_core(reader, cfg.threads, window_bytes, ctx)
 }
 
 /// The bounded-lookahead windowed parallel text parse behind
@@ -213,7 +118,7 @@ pub(crate) fn parse_windowed_core<R: Read>(
 }
 
 /// Offset just past the last `\n` that is followed by a block header.
-pub(crate) fn last_block_header(buf: &[u8]) -> Option<usize> {
+fn last_block_header(buf: &[u8]) -> Option<usize> {
     buf.windows(3).rposition(|w| w == b"\n0,").map(|i| i + 1)
 }
 
@@ -224,7 +129,7 @@ fn window_text(buf: &[u8]) -> Result<&str, ParseError> {
 }
 
 /// Rebase a window-relative parse error onto the whole stream.
-pub(crate) fn offset_lines(mut e: ParseError, lines_before: u64) -> TraceReadError {
+fn offset_lines(mut e: ParseError, lines_before: u64) -> TraceReadError {
     e.line += lines_before;
     TraceReadError::Parse(e)
 }
@@ -249,38 +154,35 @@ pub(crate) fn parse_chunks(
     if ranges.len() == 1 {
         return parse_str_core(input, ctx);
     }
-    let mut slots: Vec<Result<Vec<Record>, ParseError>> = Vec::with_capacity(ranges.len());
-    for _ in 0..ranges.len() {
-        slots.push(Ok(Vec::new()));
-    }
+    // Each worker claims chunk indices from the shared counter and returns
+    // its own (index, result) pairs; the join puts them back in chunk order.
     let next = std::sync::atomic::AtomicUsize::new(0);
-    // Hand each worker an independent view of the slots through raw
-    // indexing: each index is claimed exactly once via `next`, so no two
-    // workers touch the same slot.
-    let slot_ptr = SlotsPtr(slots.as_mut_ptr());
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(ranges.len()) {
-            let ranges = &ranges;
-            let next = &next;
-            let slot_ptr = &slot_ptr;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= ranges.len() {
-                    break;
-                }
-                let part = &input[ranges[i].clone()];
-                // SAFETY: `i` is unique to this worker (claimed from the
-                // atomic counter) and in-bounds; slots outlives the scope.
-                unsafe {
-                    *slot_ptr.0.add(i) = parse_str_core(part, ctx);
-                }
-            });
-        }
+    let mut parts: Vec<(usize, Result<Vec<Record>, ParseError>)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(ranges.len()))
+            .map(|_| {
+                let (ranges, next) = (&ranges, &next);
+                scope.spawn(move || {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= ranges.len() {
+                            return mine;
+                        }
+                        mine.push((i, parse_str_core(&input[ranges[i].clone()], ctx)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
+    parts.sort_unstable_by_key(|&(i, _)| i);
 
     let mut out = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
+    for (i, part) in parts {
+        match part {
             Ok(recs) => out.extend(recs),
             Err(mut e) => {
                 // Workers parse their chunk with a fresh parser, so the
@@ -298,11 +200,6 @@ pub(crate) fn parse_chunks(
     Ok(out)
 }
 
-/// Send+Sync wrapper for the slot base pointer (disjoint writes only).
-struct SlotsPtr(*mut Result<Vec<Record>, ParseError>);
-unsafe impl Send for SlotsPtr {}
-unsafe impl Sync for SlotsPtr {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,8 +209,7 @@ mod tests {
     use crate::record::{opcodes, OpTag, Operand, TraceValue};
     use crate::writer;
 
-    // Test shorthands for the current-space entry points (shadowing the
-    // deprecated free functions of the same names).
+    // Test shorthands for the current-space entry points.
     fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
         parse_str_core(input, &AnalysisCtx::current())
     }

@@ -294,22 +294,6 @@ impl<'a> Iterator for FieldIter<'a> {
     }
 }
 
-/// Parse a complete trace held in a string (default/global symbol space).
-#[deprecated(since = "0.6.0", note = "use TraceSource::from_str(input).records()")]
-pub fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
-    parse_str_core(input, &AnalysisCtx::current())
-}
-
-/// Parse a complete trace held in a string, interning symbols into `ctx`'s
-/// space.
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_str(input).ctx(ctx).records()"
-)]
-pub fn parse_str_in(input: &str, ctx: &AnalysisCtx) -> Result<Vec<Record>, ParseError> {
-    parse_str_core(input, ctx)
-}
-
 /// The serial in-memory text parse behind [`crate::TraceSource`] and the
 /// parallel chunk workers.
 pub(crate) fn parse_str_core(input: &str, ctx: &AnalysisCtx) -> Result<Vec<Record>, ParseError> {
@@ -332,8 +316,7 @@ mod tests {
     use crate::record::opcodes;
     use crate::writer;
 
-    /// Test shorthand for the current-space serial parse (shadows the
-    /// deprecated free function of the same name).
+    /// Test shorthand for the current-space serial parse.
     fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
         parse_str_core(input, &AnalysisCtx::current())
     }

@@ -210,15 +210,6 @@ impl<R: Read> Iterator for RecordReader<R> {
     }
 }
 
-/// Read and parse a complete trace from `reader` (serial).
-#[deprecated(
-    since = "0.6.0",
-    note = "use TraceSource::from_reader(reader).records()"
-)]
-pub fn parse_read<R: Read>(reader: R) -> Result<Vec<Record>, TraceReadError> {
-    RecordReader::new(reader).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,8 +217,7 @@ mod tests {
     use crate::record::{opcodes, OpTag, Operand, TraceValue};
     use crate::{writer, AnalysisCtx, Name, SymId};
 
-    // Test shorthands for the current-space entry points (shadowing the
-    // deprecated free functions of the same names).
+    // Test shorthands for the current-space entry points.
     fn parse_str(input: &str) -> Result<Vec<Record>, ParseError> {
         parse_str_core(input, &AnalysisCtx::current())
     }

@@ -37,7 +37,6 @@
 use crate::binary::{self, BinaryReader, BinaryStreamReader};
 use crate::ctx::AnalysisCtx;
 use crate::limits::{ResourceExceeded, ResourceKind};
-use crate::overlap::{resolve_overlap_depth, run_pipeline, BatchStream, IngestErrorClass};
 use crate::parallel::{parse_chunks, parse_windowed_core, ParallelConfig, DEFAULT_WINDOW_BYTES};
 use crate::reader::{utf8_text, RecordReader, TraceReadError};
 use crate::record::Record;
@@ -47,9 +46,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The boxed reader every adapter in the ingest stack wraps. `Send` so the
-/// decode-ahead pipeline can move the stack onto a producer thread.
-type BoxedReader<'a> = Box<dyn Read + Send + 'a>;
+/// The boxed reader every adapter in the ingest stack wraps.
+type BoxedReader<'a> = Box<dyn Read + 'a>;
 
 /// Which on-disk trace format to expect.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,7 +77,6 @@ pub struct TraceSource<'a> {
     parallel: Option<ParallelConfig>,
     window: usize,
     format: TraceFormat,
-    overlap: usize,
 }
 
 impl<'a> TraceSource<'a> {
@@ -90,7 +87,6 @@ impl<'a> TraceSource<'a> {
             parallel: None,
             window: DEFAULT_WINDOW_BYTES,
             format: TraceFormat::Auto,
-            overlap: 1,
         }
     }
 
@@ -115,9 +111,8 @@ impl<'a> TraceSource<'a> {
     }
 
     /// Ingest from any [`Read`] (either format, detected by peeking the
-    /// first bytes). `Send` so ingest can be moved onto a decode-ahead
-    /// producer thread when [`overlap`](Self::overlap) asks for one.
-    pub fn from_reader(reader: impl Read + Send + 'a) -> TraceSource<'a> {
+    /// first bytes).
+    pub fn from_reader(reader: impl Read + 'a) -> TraceSource<'a> {
         TraceSource::new(Input::Reader(Box::new(reader)))
     }
 
@@ -149,17 +144,6 @@ impl<'a> TraceSource<'a> {
         self
     }
 
-    /// Decode-ahead depth for [`records`](Self::records) and
-    /// [`overlapped`](Self::overlapped) on path/reader inputs: `0` = auto
-    /// (serial on single-core hosts), `1` = serial (the default), `n >= 2`
-    /// = read and decode on background threads, `n` batches ahead of the
-    /// consumer. In-memory inputs and [`stream`](Self::stream) are
-    /// unaffected. See [`resolve_overlap_depth`].
-    pub fn overlap(mut self, depth: usize) -> TraceSource<'a> {
-        self.overlap = depth;
-        self
-    }
-
     /// Parse the whole trace into a `Vec<Record>`.
     ///
     /// In-memory and file inputs parse with the configured parallelism in
@@ -174,25 +158,11 @@ impl<'a> TraceSource<'a> {
             Input::Str(s) => records_from_bytes(s.as_bytes(), self.format, threads, &self.ctx),
             Input::Bytes(b) => records_from_bytes(b, self.format, threads, &self.ctx),
             Input::Path(p) => open_path(&p, &self.ctx).and_then(|file| {
-                records_from_reader(
-                    file,
-                    self.format,
-                    threads,
-                    self.window,
-                    self.overlap,
-                    &self.ctx,
-                    &metrics,
-                )
+                records_from_reader(file, self.format, threads, self.window, &self.ctx)
             }),
-            Input::Reader(r) => records_from_reader(
-                r,
-                self.format,
-                threads,
-                self.window,
-                self.overlap,
-                &self.ctx,
-                &metrics,
-            ),
+            Input::Reader(r) => {
+                records_from_reader(r, self.format, threads, self.window, &self.ctx)
+            }
         };
         drop(span);
         match &result {
@@ -205,64 +175,6 @@ impl<'a> TraceSource<'a> {
             _ => {}
         }
         result
-    }
-
-    /// Run `consume` against a decode-ahead pipeline: trace bytes are read
-    /// and decoded on background threads while `consume` pulls finished
-    /// record batches from the [`BatchStream`] — so the caller's fold runs
-    /// concurrently with ingest.
-    ///
-    /// The pipeline is always built, whatever the configured overlap depth
-    /// (the depth only sizes the bounded channel); callers that want the
-    /// serial path at depth 1 branch before calling this. Producer-side
-    /// failures — I/O errors, parse errors, resource ceilings, even worker
-    /// panics — surface through the stream as the same typed
-    /// [`TraceReadError`]s serial ingest returns. Errors the producers hit
-    /// *before* the pipeline exists (opening the file, peeking the format)
-    /// surface as this function's own `Err`.
-    pub fn overlapped<T>(
-        self,
-        consume: impl FnOnce(&mut BatchStream) -> T,
-    ) -> Result<T, TraceReadError> {
-        let threads = self.parallel.map(|c| c.threads.max(1)).unwrap_or(1);
-        let metrics = self.ctx.metrics().clone();
-        let reader: BoxedReader<'a> = match self.input {
-            Input::Str(s) => Box::new(s.as_bytes()),
-            Input::Bytes(b) => Box::new(b),
-            Input::Path(p) => open_path(&p, &self.ctx)?,
-            Input::Reader(r) => r,
-        };
-        let (format, reader) = peek_format(reader, self.format)?;
-        let (reader, read_bytes) = MeteredReader::wrap(reader);
-        let reader = ByteLimitReader::wrap(reader, &self.ctx);
-        let depth = resolve_overlap_depth(self.overlap).max(1);
-        let (out, summary) = run_pipeline(
-            reader,
-            format,
-            threads,
-            self.window,
-            depth,
-            &self.ctx,
-            &read_bytes,
-            consume,
-        );
-        // Book what the serial streaming path would have booked: ingest
-        // volume per delivered record (bytes as of the last delivery), and
-        // the error-kind counter if the consumer was handed an error.
-        if summary.records > 0 {
-            note_ingest(
-                &metrics,
-                format,
-                summary.bytes_at_last_batch,
-                summary.records,
-            );
-        }
-        match summary.error {
-            Some(IngestErrorClass::Parse) => metrics.count(CounterId::ParseErrors, 1),
-            Some(IngestErrorClass::Resource) => metrics.count(CounterId::LimitExceeded, 1),
-            Some(IngestErrorClass::Io) | None => {}
-        }
-        Ok(out)
     }
 
     /// Pull records one at a time with bounded memory (text: chunked line
@@ -332,70 +244,34 @@ fn open_path<'a>(
 }
 
 /// The reader-input body of [`TraceSource::records`]: wrap the metering
-/// and limit stack, then parse serially (overlap depth 1) or through the
-/// decode-ahead pipeline. Error *counter* bookkeeping stays with the
-/// caller, which books it off the returned `Result` either way.
-#[allow(clippy::too_many_arguments)]
+/// and limit stack, then parse (text through the windowed parser, binary
+/// through the streaming decoder). Error *counter* bookkeeping stays with
+/// the caller, which books it off the returned `Result`.
 fn records_from_reader(
     r: BoxedReader<'_>,
     format: TraceFormat,
     threads: usize,
     window: usize,
-    overlap: usize,
     ctx: &AnalysisCtx,
-    metrics: &Metrics,
 ) -> Result<Vec<Record>, TraceReadError> {
     let (format, reader) = peek_format(r, format)?;
     let (reader, read_bytes) = MeteredReader::wrap(reader);
     let reader = ByteLimitReader::wrap(reader, ctx);
-    let depth = resolve_overlap_depth(overlap);
-    let result = if depth > 1 {
-        let (folded, _summary) = run_pipeline(
-            reader,
-            format,
-            threads,
-            window,
-            depth,
-            ctx,
-            &read_bytes,
-            |batches| {
-                let mut out: Vec<Record> = Vec::new();
-                while let Some(batch) = batches.next_batch() {
-                    out.extend(batch?);
-                }
-                Ok(out)
-            },
-        );
-        // The batch stream already applied `unsmuggle_limit` and the
-        // per-batch ceiling checks; by the final batch they cover the
-        // whole trace, so no trailing re-check is needed.
-        folded
-    } else {
-        match format {
-            TraceFormat::Binary => BinaryStreamReader::open(reader, ctx).and_then(|r| r.collect()),
-            _ => parse_windowed_core(reader, threads, window, ctx),
-        }
-        .map_err(unsmuggle_limit)
-        .and_then(|recs| {
-            check_ingest_limits(ctx, recs.len() as u64, read_bytes.load(Ordering::Relaxed))?;
-            Ok(recs)
-        })
-    };
-    if let Ok(recs) = &result {
-        note_ingest(
-            metrics,
-            format,
-            read_bytes.load(Ordering::Relaxed),
-            recs.len() as u64,
-        );
+    let recs = match format {
+        TraceFormat::Binary => BinaryStreamReader::open(reader, ctx).and_then(|r| r.collect()),
+        _ => parse_windowed_core(reader, threads, window, ctx),
     }
-    result
+    .map_err(unsmuggle_limit)?;
+    let bytes = read_bytes.load(Ordering::Relaxed);
+    check_ingest_limits(ctx, recs.len() as u64, bytes)?;
+    note_ingest(ctx.metrics(), format, bytes, recs.len() as u64);
+    Ok(recs)
 }
 
 /// Check the ingest-side resource ceilings for one source: records and raw
 /// bytes for this trace, plus the session-wide symbol count and owned
 /// string bytes (which grow only through interning — i.e. through ingest).
-pub(crate) fn check_ingest_limits(
+fn check_ingest_limits(
     ctx: &AnalysisCtx,
     records: u64,
     bytes: u64,
@@ -410,7 +286,7 @@ pub(crate) fn check_ingest_limits(
 
 /// Recover a [`ResourceExceeded`] that [`ByteLimitReader`] smuggled through
 /// the `io::Error` channel (the only error type a [`Read`] can raise).
-pub(crate) fn unsmuggle_limit(e: TraceReadError) -> TraceReadError {
+fn unsmuggle_limit(e: TraceReadError) -> TraceReadError {
     let TraceReadError::Io(io_err) = &e else {
         return e;
     };
@@ -876,41 +752,65 @@ mod tests {
         assert_eq!(recs, parsed);
     }
 
-    /// The deprecated free functions must keep working verbatim until
-    /// removal — they are thin wrappers over the same cores.
+    /// A reader that fails with an I/O error after serving a prefix.
+    struct FailAfter {
+        served: usize,
+        body: Vec<u8>,
+    }
+
+    impl Read for FailAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.served >= self.body.len() {
+                return Err(std::io::Error::other("disk on fire"));
+            }
+            let n = buf.len().min(self.body.len() - self.served).min(113);
+            buf[..n].copy_from_slice(&self.body[self.served..self.served + n]);
+            self.served += n;
+            Ok(n)
+        }
+    }
+
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_same_cores() {
+    fn mid_stream_io_errors_stay_typed() {
         let ctx = AnalysisCtx::session();
-        let recs = synth(&ctx, 30);
-        let text = text_of(&ctx, &recs);
-        let cfg = ParallelConfig { threads: 2 };
-        assert_eq!(crate::parser::parse_str_in(&text, &ctx).unwrap(), recs);
-        assert_eq!(
-            crate::parallel::parse_parallel_in(&text, cfg, &ctx).unwrap(),
-            recs
+        let body = text_of(&ctx, &synth(&ctx, 200)).into_bytes();
+        let err = TraceSource::from_reader(FailAfter { served: 0, body })
+            .ctx(&ctx)
+            .window(128)
+            .records()
+            .unwrap_err();
+        let TraceReadError::Io(io) = err else {
+            panic!("expected an io error, got {err:?}");
+        };
+        assert!(io.to_string().contains("disk on fire"));
+    }
+
+    #[test]
+    fn path_ingest_stays_window_resident() {
+        use autocheck_obs::{GaugeId, Metrics};
+        // A trace far larger than the lookahead window: if `from_path`
+        // materialized the file, the buffer gauge would reach file size.
+        let base = AnalysisCtx::session();
+        let text = text_of(&base, &synth(&base, 20_000));
+        let dir = std::env::temp_dir().join(format!("autocheck-resident-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.trace");
+        std::fs::write(&path, &text).unwrap();
+        let ctx = AnalysisCtx::session().with_metrics(Metrics::enabled());
+        let records = TraceSource::from_path(&path)
+            .ctx(&ctx)
+            .window(4096)
+            .records()
+            .unwrap();
+        assert_eq!(records.len(), 20_000);
+        let (_, peak) = ctx.metrics().gauge(GaugeId::IngestBufferBytes);
+        assert!(peak >= 1, "gauge was populated");
+        assert!(
+            (peak as usize) < text.len() / 4,
+            "resident ingest buffers ({peak} B) should stay far below the {} B trace",
+            text.len()
         );
-        assert_eq!(
-            crate::parallel::parse_parallel_read_in(text.as_bytes(), cfg, &ctx).unwrap(),
-            recs
-        );
-        assert_eq!(
-            crate::parallel::parse_parallel_read_with_window_in(text.as_bytes(), cfg, 128, &ctx)
-                .unwrap(),
-            recs
-        );
-        let _g = ctx.enter();
-        assert_eq!(crate::parser::parse_str(&text).unwrap(), recs);
-        assert_eq!(crate::parallel::parse_parallel(&text, cfg).unwrap(), recs);
-        assert_eq!(
-            crate::parallel::parse_parallel_read(text.as_bytes(), cfg).unwrap(),
-            recs
-        );
-        assert_eq!(
-            crate::parallel::parse_parallel_read_with_window(text.as_bytes(), cfg, 128).unwrap(),
-            recs
-        );
-        assert_eq!(crate::reader::parse_read(text.as_bytes()).unwrap(), recs);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

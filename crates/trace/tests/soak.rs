@@ -14,6 +14,18 @@
 
 use autocheck_trace::intern::arena_bytes;
 use autocheck_trace::AnalysisCtx;
+use std::sync::{Mutex, MutexGuard};
+
+/// Both tests read the process-wide [`arena_bytes`] gauge, so one test's
+/// interning shows up in the other's readings. The test harness runs them
+/// on parallel threads; this lock runs them one at a time.
+static GAUGE: Mutex<()> = Mutex::new(());
+
+fn gauge_lock() -> MutexGuard<'static, ()> {
+    // A failed assertion in one test poisons the lock; the other test still
+    // runs and reports its own result.
+    GAUGE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// One hostile session: a fresh space interning `n` long, never-repeating
 /// symbol names (the shape an adversarial trace generator produces).
@@ -37,6 +49,7 @@ fn hostile_session(wave: usize, n: usize) -> usize {
 fn a_thousand_hostile_sessions_plateau() {
     const SESSIONS: usize = 1200;
     const SYMBOLS_PER_SESSION: usize = 64;
+    let _serial = gauge_lock();
 
     // Baseline after one throwaway wave so one-time global costs (the
     // default space, lazily-initialized statics) are excluded.
@@ -52,8 +65,8 @@ fn a_thousand_hostile_sessions_plateau() {
 
     let settled = arena_bytes();
     // Plateau, not ramp: after every session has dropped, the arena is back
-    // at its baseline. The slack absorbs other tests in this binary (none
-    // today) and allocator-side rounding in the counters we track.
+    // at its baseline. The slack absorbs allocator-side rounding in the
+    // counters we track.
     assert!(
         settled <= baseline + per_session,
         "arena did not reclaim: baseline {baseline}, settled {settled} \
@@ -74,6 +87,7 @@ fn a_thousand_hostile_sessions_plateau() {
 fn interleaved_sessions_account_independently() {
     // Two live sessions: dropping one reclaims its bytes without touching
     // the other's.
+    let _serial = gauge_lock();
     let before = arena_bytes();
     let a = AnalysisCtx::session();
     let b = AnalysisCtx::session();

@@ -30,6 +30,9 @@
 //!     .analyze(&sink.records);
 //! println!("{report}");
 //! ```
+
+#![forbid(unsafe_code)]
+
 pub use autocheck_apps as apps;
 pub use autocheck_checkpoint as checkpoint;
 pub use autocheck_core as core;
