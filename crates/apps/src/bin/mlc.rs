@@ -29,7 +29,9 @@
 //! symbol space, via `AnalysisCtx::session`), and the peak-live window and
 //! timings are reported per session — not just for the last analysis.
 
-use autocheck_core::{capture_ledger, index_variables_of, Region, StreamAnalyzer, StreamConfig};
+use autocheck_core::{
+    capture_ledger, index_variables_of, out, outln, Region, StreamAnalyzer, StreamConfig,
+};
 use autocheck_interp::{
     BinarySink, ExecError, ExecOptions, FnSink, Machine, NoHook, NullSink, TraceSink, WriterSink,
 };
@@ -150,7 +152,7 @@ fn main() -> ExitCode {
             match machine.run(&mut NullSink, &mut NoHook) {
                 Ok(out) => {
                     for line in &out.output {
-                        println!("{line}");
+                        outln!("{line}");
                     }
                     eprintln!("[{} dynamic instructions]", out.steps);
                     ExitCode::SUCCESS
@@ -216,7 +218,7 @@ fn main() -> ExitCode {
             let mut code = ExitCode::SUCCESS;
             for target in targets {
                 if batch {
-                    println!("=== {target} ===");
+                    outln!("=== {target} ===");
                 }
                 let t0 = std::time::Instant::now();
                 let src = match std::fs::read_to_string(target) {
@@ -303,16 +305,16 @@ fn main() -> ExitCode {
                     continue;
                 }
                 let run = session.finish();
-                println!("{}", run.report);
+                outln!("{}", run.report);
                 let bound = match run.stats.live_bound {
                     Some(b) => format!("{b}"),
                     None => "unbounded".to_string(),
                 };
-                println!(
+                outln!(
                     "streaming: peak {} live records of {} total (bound: {}); no trace file written",
                     run.stats.peak_live_records, run.report.records, bound
                 );
-                println!(
+                outln!(
                     "session: {} symbols; ingest+identify {:.3?}; wall {:.3?}",
                     ctx.space().len(),
                     run.report.timings.total(),
@@ -328,7 +330,7 @@ fn main() -> ExitCode {
                     ledgers.push(capture_ledger(name, &ctx));
                 }
                 if batch {
-                    println!();
+                    outln!();
                 }
             }
             // One input file → its session ledger; several → the aggregated
@@ -346,12 +348,12 @@ fn main() -> ExitCode {
                     (b.render_table(), b.to_json())
                 };
                 if path == "-" {
-                    println!("{table}");
+                    outln!("{table}");
                 } else if let Err(e) = std::fs::write(&path, json) {
                     eprintln!("error: cannot write `{path}`: {e}");
                     code = ExitCode::FAILURE;
                 } else {
-                    println!("run ledger written to {path}");
+                    outln!("run ledger written to {path}");
                 }
             }
             code
@@ -462,7 +464,7 @@ fn main() -> ExitCode {
                 Ok(m) => m,
                 Err(c) => return c,
             };
-            print!("{}", autocheck_ir::printer::print_module(&module));
+            out!("{}", autocheck_ir::printer::print_module(&module));
             ExitCode::SUCCESS
         }
         "loops" => {
@@ -482,7 +484,7 @@ fn main() -> ExitCode {
             for (i, l) in forest.loops.iter().enumerate() {
                 let line = f.blocks[l.header.index()].loc.line;
                 let cv = autocheck_ir::loops::control_variables(&module, f, l);
-                println!(
+                outln!(
                     "loop {i}: header line {line}, depth {}, control vars: {}",
                     l.depth,
                     cv.iter()
@@ -526,7 +528,7 @@ fn main() -> ExitCode {
                         spec.region.end_line
                     );
                 }
-                None => print!("{}", spec.source),
+                None => out!("{}", spec.source),
             }
             ExitCode::SUCCESS
         }

@@ -81,34 +81,27 @@ fn bench_binary_ingest(c: &mut Criterion) {
         })
     });
 
-    // Streaming pull over a reader, both formats (the ingest path the
-    // streaming analyzer uses).
-    group.throughput(Throughput::Bytes(text.len() as u64));
-    group.bench_function("text-stream", |b| {
-        b.iter(|| {
-            let n = TraceSource::from_reader(black_box(text.as_bytes()))
-                .stream()
-                .expect("opens")
-                .fold(0usize, |n, r| {
-                    r.expect("parses");
-                    n + 1
-                });
-            black_box(n)
-        })
-    });
-    group.throughput(Throughput::Bytes(bin.len() as u64));
-    group.bench_function("binary-stream", |b| {
-        b.iter(|| {
-            let n = TraceSource::from_reader(black_box(&bin[..]))
-                .stream()
-                .expect("opens")
-                .fold(0usize, |n, r| {
-                    r.expect("decodes");
-                    n + 1
-                });
-            black_box(n)
-        })
-    });
+    // Streaming pull over a reader, both formats, through the lending
+    // `next_record` the streaming analyzer uses.
+    for (name, bytes) in [
+        ("text-stream", text.as_bytes()),
+        ("binary-stream", &bin[..]),
+    ] {
+        group.throughput(Throughput::Bytes(bytes.len() as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut stream = TraceSource::from_reader(black_box(bytes))
+                    .stream()
+                    .expect("opens");
+                let mut n = 0usize;
+                while let Some(r) = stream.next_record() {
+                    black_box(r.expect("decodes"));
+                    n += 1;
+                }
+                black_box(n)
+            })
+        });
+    }
     group.finish();
 }
 

@@ -6,6 +6,7 @@
 
 use autocheck_apps::{all_apps_scaled, analyze_app, Scale};
 use autocheck_bench::{critical_cell, mclr_cell, secs, Table};
+use autocheck_core::outln;
 use autocheck_trace::stats::human_bytes;
 
 fn main() {
@@ -14,7 +15,7 @@ fn main() {
         Some("large") => Scale::Large,
         _ => Scale::Small,
     };
-    println!("=== Table II: benchmarks, traces, and identified critical variables ({scale:?} inputs) ===\n");
+    outln!("=== Table II: benchmarks, traces, and identified critical variables ({scale:?} inputs) ===\n");
     let mut table = Table::new(&[
         "Name",
         "LOC",
@@ -38,8 +39,8 @@ fn main() {
             mclr_cell(&spec),
         ]);
     }
-    println!("{}", table.render());
-    println!("total critical variables across the suite: {total_vars}");
-    println!("(paper: 102 across the original 14 benchmarks; the skeletons keep each");
-    println!(" benchmark's named critical variables and dependency classes)");
+    outln!("{}", table.render());
+    outln!("total critical variables across the suite: {total_vars}");
+    outln!("(paper: 102 across the original 14 benchmarks; the skeletons keep each");
+    outln!(" benchmark's named critical variables and dependency classes)");
 }

@@ -36,7 +36,7 @@
 use autocheck_apps::{all_apps_scaled, Scale};
 use autocheck_bench::{secs, Table};
 use autocheck_core::{
-    capture_ledger, index_variables_of, AnalysisJob, Analyzer, JobInput, MultiAnalyzer,
+    capture_ledger, index_variables_of, outln, AnalysisJob, Analyzer, JobInput, MultiAnalyzer,
     PipelineConfig, Report, StreamAnalyzer,
 };
 use autocheck_interp::{ExecOptions, Machine, NoHook, WriterSink};
@@ -139,7 +139,7 @@ fn main() {
                 .map(|n| n.get().max(4))
                 .unwrap_or(4)
         });
-    println!(
+    outln!(
         "=== Table III: analysis efficiency ({scale:?} inputs; optimization = {threads} parser threads) ===\n"
     );
     let mut table = Table::new(&[
@@ -256,11 +256,11 @@ fn main() {
             ingest,
         });
     }
-    println!("{}", table.render());
-    println!("shape check vs the paper: pre-processing (trace reading) dominates; the");
-    println!("parallel reader cuts it; identification is the cheapest stage. The");
-    println!("streaming column is one fused online pass whose peak live-record window");
-    println!("(rightmost column) stays orders of magnitude below the trace length.");
+    outln!("{}", table.render());
+    outln!("shape check vs the paper: pre-processing (trace reading) dominates; the");
+    outln!("parallel reader cuts it; identification is the cheapest stage. The");
+    outln!("streaming column is one fused online pass whose peak live-record window");
+    outln!("(rightmost column) stays orders of magnitude below the trace length.");
 
     // Concurrent multi-session run: the whole suite through MultiAnalyzer,
     // each app in its own symbol space — serially and on `jobs` workers.
@@ -312,7 +312,7 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!(
+    outln!(
         "\nmulti-session (compile+trace+analyze per app, own symbol space each):\n\
          \x20 jobs=1: {:.3}s   jobs={}: {:.3}s   speedup {:.2}x ({} cpu(s) available)",
         batch_wall_1.as_secs_f64(),
@@ -322,7 +322,7 @@ fn main() {
         cpus,
     );
     if cpus == 1 {
-        println!(
+        outln!(
             "  (single-CPU machine: workers only interleave; the parallel wall\n\
              \x20  measures session-isolation overhead, not speedup)"
         );
@@ -336,10 +336,10 @@ fn main() {
             .as_ref()
             .expect("metrics batch produced a ledger");
         if path == "-" {
-            println!("\n{}", ledger.render_table());
+            outln!("\n{}", ledger.render_table());
         } else {
             std::fs::write(path, ledger.to_json()).expect("write metrics ledger");
-            println!("\nwrote batch run ledger to {path}");
+            outln!("\nwrote batch run ledger to {path}");
         }
     }
 
@@ -357,7 +357,7 @@ fn main() {
             ),
         )
         .expect("write BENCH_table3.json");
-        println!("\nwrote machine-readable timings to {path}");
+        outln!("\nwrote machine-readable timings to {path}");
     }
 }
 

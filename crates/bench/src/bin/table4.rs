@@ -10,6 +10,7 @@
 use autocheck_apps::{all_apps_scaled, analyze_app, Scale};
 use autocheck_bench::Table;
 use autocheck_checkpoint::{BlcrSim, CrDriver, Fti, FtiConfig};
+use autocheck_core::outln;
 use autocheck_interp::{ExecOptions, Machine, NullSink};
 use autocheck_trace::stats::human_bytes;
 
@@ -19,7 +20,7 @@ fn main() {
         Some("medium") => Scale::Medium,
         _ => Scale::Large,
     };
-    println!("=== Table IV: storage cost for checkpointing ({scale:?} inputs) ===\n");
+    outln!("=== Table IV: storage cost for checkpointing ({scale:?} inputs) ===\n");
     let base = std::env::temp_dir().join(format!("autocheck-table4-{}", std::process::id()));
     let mut table = Table::new(&[
         "Name",
@@ -64,10 +65,10 @@ fn main() {
                 .join(","),
         ]);
     }
-    println!("{}", table.render());
-    println!("shape check vs the paper: AutoCheck checkpoints are a small fraction of");
-    println!("whole-process images (the paper reports up to seven orders of magnitude on");
-    println!("production-size inputs; the ratio here grows with the Large scale because");
-    println!("the detected set excludes all the recomputable state).");
+    outln!("{}", table.render());
+    outln!("shape check vs the paper: AutoCheck checkpoints are a small fraction of");
+    outln!("whole-process images (the paper reports up to seven orders of magnitude on");
+    outln!("production-size inputs; the ratio here grows with the Large scale because");
+    outln!("the detected set excludes all the recomputable state).");
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -15,12 +15,12 @@ use autocheck_apps::{all_apps, analyze_app};
 use autocheck_bench::Table;
 use autocheck_checkpoint::validate::validate_restart;
 use autocheck_checkpoint::CrSpec;
-use autocheck_core::{index_variables_of, Analyzer, DepType, Region};
+use autocheck_core::{index_variables_of, outln, Analyzer, DepType, Region};
 
 /// Analyze one MiniLang file, protect its critical set, kill at 60%, and
 /// restart. Exits nonzero if the restarted output diverges.
 fn validate_single_file(path: &str, function: &str, start: u32, end: u32) {
-    println!(
+    outln!(
         "=== §VI-B single-file validation: {path} ({function} {start}..{end}, kill at 60%) ===\n"
     );
     let source =
@@ -35,7 +35,7 @@ fn validate_single_file(path: &str, function: &str, start: u32, end: u32) {
         .with_index_vars(index_variables_of(&module, &region))
         .analyze(&sink.records);
     let protected: Vec<String> = report.critical.iter().map(|c| c.name.to_string()).collect();
-    println!(
+    outln!(
         "protected set: {protected:?} ({} bytes)",
         report.checkpoint_bytes()
     );
@@ -47,7 +47,7 @@ fn validate_single_file(path: &str, function: &str, start: u32, end: u32) {
     };
     let dir = std::env::temp_dir().join(format!("autocheck-validate-file-{}", std::process::id()));
     let out = validate_restart(&module, &cr, &dir, 0.6).expect("validation runs");
-    println!(
+    outln!(
         "failure at dyn {}, recovered step {:?}, checkpoint {} bytes: {}",
         out.failure_dyn_id,
         out.recovered_step,
@@ -83,7 +83,7 @@ fn main() {
         validate_single_file(&path, &function, parse_u32("--start"), parse_u32("--end"));
         return;
     }
-    println!("=== §VI-B: validation of detected variables (kill at 60%, restart, compare) ===\n");
+    outln!("=== §VI-B: validation of detected variables (kill at 60%, restart, compare) ===\n");
     let base = std::env::temp_dir().join(format!("autocheck-validate-{}", std::process::id()));
     let mut table = Table::new(&[
         "Name",
@@ -125,11 +125,11 @@ fn main() {
             if out.matches { "OK" } else { "DIVERGED" }.to_string(),
         ]);
     }
-    println!("{}", table.render());
+    outln!("{}", table.render());
 
-    println!("dependency-type census across the suite:");
+    outln!("dependency-type census across the suite:");
     for (dep, n) in &census {
-        println!("  {dep:<8} {n}");
+        outln!("  {dep:<8} {n}");
     }
     let war = census.get(&DepType::War).copied().unwrap_or(0);
     let rest: usize = census
@@ -137,8 +137,8 @@ fn main() {
         .filter(|(d, _)| **d != DepType::War)
         .map(|(_, n)| n)
         .sum();
-    println!("\nWAR dominates ({war} vs {rest} others) — matching the paper's 76/95 skew.");
-    println!(
+    outln!("\nWAR dominates ({war} vs {rest} others) — matching the paper's 76/95 skew.");
+    outln!(
         "\nall restarts {}",
         if all_ok { "SUCCEEDED" } else { "FAILED" }
     );

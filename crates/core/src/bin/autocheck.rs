@@ -63,8 +63,8 @@
 //! analysis output — reports and DOT are byte-identical either way.
 
 use autocheck_core::{
-    capture_ledger, contract_for_mli, Analyzer, CollectMode, DdgAnalysis, Phases, PipelineConfig,
-    Region, StreamAnalyzer, StreamConfig,
+    capture_ledger, contract_for_mli, out, outln, Analyzer, CollectMode, DdgAnalysis, Phases,
+    PipelineConfig, Region, StreamAnalyzer, StreamConfig,
 };
 use autocheck_obs::{CounterId, Metrics};
 use autocheck_trace::{parse_limit_arg, AnalysisCtx, ResourceKind, ResourceLimits};
@@ -288,12 +288,12 @@ fn parse_manifest(path: &str, args: &Args) -> Result<Vec<autocheck_core::Analysi
 /// anything else gets the versioned JSON.
 fn emit_metrics(path: &str, table: String, json: String) -> bool {
     if path == "-" {
-        println!("{table}");
+        outln!("{table}");
     } else if let Err(e) = std::fs::write(path, json) {
         eprintln!("error: cannot write `{path}`: {e}");
         return false;
     } else {
-        println!("run ledger written to {path}");
+        outln!("run ledger written to {path}");
     }
     true
 }
@@ -313,9 +313,9 @@ fn run_batch(args: &Args, manifest: &str) -> ExitCode {
         .with_metrics(args.metrics.is_some())
         .run(jobs);
     for s in &out.sessions {
-        println!("=== {} ===", s.name);
-        print!("{}", s.rendered);
-        println!(
+        outln!("=== {} ===", s.name);
+        out!("{}", s.rendered);
+        outln!(
             "timings: preprocess {:.3?}, dependency {:.3?}, identify {:.3?}, contract {:.3?} \
              (total {:.3?}; wall {:.3?})",
             s.timings.preprocess,
@@ -326,18 +326,20 @@ fn run_batch(args: &Args, manifest: &str) -> ExitCode {
             s.wall
         );
         match s.peak_live_records {
-            Some(peak) => println!(
+            Some(peak) => outln!(
                 "session: {} symbols; streaming peak {} live records of {} total",
-                s.symbols, peak, s.records
+                s.symbols,
+                peak,
+                s.records
             ),
-            None => println!("session: {} symbols", s.symbols),
+            None => outln!("session: {} symbols", s.symbols),
         }
-        println!();
+        outln!();
     }
     for f in &out.failures {
         eprintln!("error: {}: {}", f.name, f.message);
     }
-    println!(
+    outln!(
         "=== aggregate ({} analyses, {} workers{}) ===",
         n,
         out.jobs,
@@ -347,7 +349,7 @@ fn run_batch(args: &Args, manifest: &str) -> ExitCode {
             ""
         }
     );
-    print!("{}", out.aggregate());
+    out!("{}", out.aggregate());
     if let (Some(path), Some(ledger)) = (&args.metrics, &out.ledger) {
         if !emit_metrics(path, ledger.render_table(), ledger.to_json()) {
             return ExitCode::FAILURE;
@@ -382,15 +384,15 @@ fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
         Ok(r) => r,
         Err(e) => return fail(args, ctx, e),
     };
-    println!("{}", run.report);
+    outln!("{}", run.report);
     if let (Some(dot_path), Some(dot)) = (&args.dot, &run.contracted_dot) {
         if let Err(e) = std::fs::write(dot_path, dot) {
             eprintln!("error: cannot write `{dot_path}`: {e}");
             return ExitCode::FAILURE;
         }
-        println!("contracted DDG (streaming) written to {dot_path}");
+        outln!("contracted DDG (streaming) written to {dot_path}");
     }
-    println!(
+    outln!(
         "timings: ingest {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?}; single online pass)",
         run.report.timings.preprocess,
         run.report.timings.identify,
@@ -401,7 +403,7 @@ fn run_streaming(args: &Args, region: &Region, ctx: &AnalysisCtx) -> ExitCode {
         Some(b) => format!("{b}"),
         None => "unbounded".to_string(),
     };
-    println!(
+    outln!(
         "streaming: peak {} live records of {} total (bound: {}); ddg {} nodes / {} edges",
         run.stats.peak_live_records,
         run.report.records,
@@ -497,8 +499,8 @@ fn main() -> ExitCode {
             return fail(&args, &ctx, e);
         }
     }
-    println!("{report}");
-    println!(
+    outln!("{report}");
+    outln!(
         "timings: preprocess {:.3?}, dependency {:.3?}, identify {:.3?}, contract {:.3?} (total {:.3?})",
         report.timings.preprocess,
         report.timings.dependency,
@@ -537,7 +539,7 @@ fn main() -> ExitCode {
             eprintln!("error: cannot write `{dot_path}`: {e}");
             return ExitCode::FAILURE;
         }
-        println!("contracted DDG written to {dot_path}");
+        outln!("contracted DDG written to {dot_path}");
     }
     if let Some(path) = &args.metrics {
         let ledger = capture_ledger(session_name(&args.trace), &ctx);

@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 
 pub mod classify;
+pub mod cli;
 pub mod contract;
 pub mod ddg;
 pub mod observe;

@@ -236,9 +236,11 @@ impl StreamAnalyzer {
     pub fn run_read<R: io::Read>(&self, reader: R) -> Result<StreamRun, StreamError> {
         let mut session = self.session();
         session.started = Some(Instant::now());
-        let stream = TraceSource::from_reader(reader).ctx(&self.ctx).stream()?;
-        for item in stream {
-            session.push(&item?)?;
+        let mut stream = TraceSource::from_reader(reader).ctx(&self.ctx).stream()?;
+        // Lent records: the engine never keeps one, so binary ingest
+        // decodes every record into the same buffer.
+        while let Some(r) = stream.next_record() {
+            session.push(r?)?;
         }
         Ok(session.finish())
     }

@@ -73,12 +73,23 @@
 //! purely streaming ones, intern everything once up front) while symbols
 //! are still discovered on the fly during writing.
 //!
+//! Two readers share one record decoder. [`BinaryReader`] decodes
+//! zero-copy out of an in-memory buffer, serially or over record-aligned
+//! chunks in parallel, into owned records. [`BinaryStreamReader`] pulls
+//! from any [`Read`] holding only the string table plus one 64 KiB read
+//! window; its records decode out of the window into one reused
+//! [`Record`] that [`next_record`](BinaryStreamReader::next_record) lends,
+//! so streaming ingest allocates nothing per record.
+//!
 //! Readers validate everything before trusting it: magic, version, that
 //! the declared string table fits its section, that every symbol index is
 //! in range, and that exactly the declared record count is present.
 //! Allocations are bounded by bytes actually read, never by header-declared
 //! sizes — a hostile header cannot make a reader over-allocate (the
-//! `--untrusted-trace` hardening contract; see the fuzz tests).
+//! `--untrusted-trace` hardening contract; see the fuzz tests). Beyond the
+//! fixed 64 KiB stream window, the one allocation sized ahead of its bytes
+//! is that window growing to fit a record wider than itself, which the
+//! format caps at 32 768 entries (~608 KiB).
 
 use crate::ctx::AnalysisCtx;
 use crate::intern::{SymId, SymStr};
@@ -477,15 +488,45 @@ fn intern_strtab(
     Ok(syms)
 }
 
-/// Decode the record whose header starts at `bytes[at..]`; returns the
-/// record and the offset just past it. `base` rebases error offsets onto
-/// the whole file.
+/// Decode the record whose header starts at `bytes[at..]` into a fresh
+/// record; returns it and the offset just past it (the owned wrapper the
+/// zero-copy reader and the parallel decode use).
 fn decode_record(
     bytes: &[u8],
     at: usize,
     base: u64,
     syms: &[SymId],
 ) -> Result<(Record, usize), TraceReadError> {
+    let mut rec = blank_record();
+    let end = decode_record_into(bytes, at, base, syms, &mut rec)?;
+    Ok((rec, end))
+}
+
+/// A record for a decoder to overwrite.
+fn blank_record() -> Record {
+    Record {
+        src_line: 0,
+        func: SymId::FILLER,
+        bb: (0, 0),
+        bb_label: SymId::FILLER,
+        opcode: 0,
+        dyn_id: 0,
+        operands: Vec::new(),
+        result: None,
+    }
+}
+
+/// Decode the record whose header starts at `bytes[at..]` into `rec`,
+/// reusing its operand buffer; returns the offset just past the record.
+/// `base` rebases error offsets onto the whole file. On error `rec` holds
+/// a partial decode.
+fn decode_record_into(
+    bytes: &[u8],
+    at: usize,
+    base: u64,
+    syms: &[SymId],
+    rec: &mut Record,
+) -> Result<usize, TraceReadError> {
     let off = |rel: usize| base + (at + rel) as u64;
     // SAFETY of the `try_into().unwrap()`s below: the length-checked `get`
     // calls guarantee `h` spans RECORD_BYTES and `o` spans OPERAND_BYTES, so
@@ -503,19 +544,20 @@ fn decode_record(
     let packed = u16::from_le_bytes([h[22], h[23]]);
     let n_ops = (packed & 0x7FFF) as usize;
     let has_result = packed & 0x8000 != 0;
-    let mut rec = Record {
-        src_line: i32::from_le_bytes(h[0..4].try_into().unwrap()),
-        func: sym(4, "function symbol")?,
-        bb: (
-            u32::from_le_bytes(h[8..12].try_into().unwrap()),
-            u32::from_le_bytes(h[12..16].try_into().unwrap()),
-        ),
-        bb_label: sym(16, "block-label symbol")?,
-        opcode: u16::from_le_bytes([h[20], h[21]]),
-        dyn_id: u64::from_le_bytes(h[24..32].try_into().unwrap()),
-        operands: Vec::with_capacity(n_ops),
-        result: None,
-    };
+    rec.src_line = i32::from_le_bytes(h[0..4].try_into().unwrap());
+    rec.func = sym(4, "function symbol")?;
+    rec.bb = (
+        u32::from_le_bytes(h[8..12].try_into().unwrap()),
+        u32::from_le_bytes(h[12..16].try_into().unwrap()),
+    );
+    rec.bb_label = sym(16, "block-label symbol")?;
+    rec.opcode = u16::from_le_bytes([h[20], h[21]]);
+    rec.dyn_id = u64::from_le_bytes(h[24..32].try_into().unwrap());
+    rec.operands.clear();
+    // Exact, like the `Vec::with_capacity` materialized records had; a
+    // reused record stops reallocating once it has seen its widest one.
+    rec.operands.reserve_exact(n_ops);
+    rec.result = None;
     let mut at = at + RECORD_BYTES;
     for i in 0..n_ops + has_result as usize {
         let o = bytes
@@ -568,7 +610,7 @@ fn decode_record(
         }
         at += OPERAND_BYTES;
     }
-    Ok((rec, at))
+    Ok(at)
 }
 
 /// Byte length of the record starting at `bytes[at..]` without decoding it
@@ -778,8 +820,20 @@ impl Iterator for BinaryReader<'_> {
 // Streaming reader
 // ---------------------------------------------------------------------------
 
+/// Size of the streaming reader's read window: record bytes arrive in
+/// refills of up to this much and decode straight out of the window.
+const WINDOW_BYTES: usize = 64 * 1024;
+
 /// Streaming binary trace reader over any [`Read`], with bounded memory:
-/// the string table (read and interned once at open) plus one record.
+/// the string table (read and interned once at open) plus one read window.
+///
+/// The window holds 64 KiB of input; records decode straight out of it
+/// into one reused [`Record`], which [`next_record`](Self::next_record)
+/// lends out. A record that straddles the window's end is carried to its
+/// front before the refill, and the window grows only to fit one record
+/// wider than itself — at most the format's cap (32 768 entries, ~608 KiB),
+/// whatever the header claims. The [`Iterator`] impl clones each lent
+/// record.
 ///
 /// The counterpart of the text format's [`RecordReader`](crate::RecordReader);
 /// [`crate::TraceSource::stream`] picks between the two by magic bytes.
@@ -792,97 +846,54 @@ pub struct BinaryStreamReader<R: Read> {
     /// Footer already consumed and validated.
     footer_done: bool,
     yielded: u64,
-    /// Absolute byte offset of the next unread byte (error reporting).
+    /// Absolute byte offset of the next unconsumed byte, `window[pos]`.
     offset: u64,
-    /// Reusable per-record scratch buffer.
-    scratch: Vec<u8>,
+    /// Read window: `window[pos..end]` is read but not yet consumed.
+    window: Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// The record [`next_record`](Self::next_record) decodes into and lends.
+    record: Record,
     failed: bool,
 }
 
 impl<R: Read> BinaryStreamReader<R> {
     /// Read the header and string table; intern every symbol once.
-    pub fn open(mut inner: R, ctx: &AnalysisCtx) -> Result<BinaryStreamReader<R>, TraceReadError> {
-        let mut head = [0u8; HEADER_BYTES];
-        read_exact_at(&mut inner, &mut head, 0, "header")?;
+    pub fn open(inner: R, ctx: &AnalysisCtx) -> Result<BinaryStreamReader<R>, TraceReadError> {
+        let mut r = BinaryStreamReader {
+            inner,
+            syms: Vec::new(),
+            record_count: 0,
+            version: VERSION,
+            footer_done: false,
+            yielded: 0,
+            offset: 0,
+            window: vec![0; WINDOW_BYTES],
+            pos: 0,
+            end: 0,
+            record: blank_record(),
+            failed: false,
+        };
+        let head: [u8; HEADER_BYTES] = r.read_array("header")?;
         let (version, record_count, string_count, strtab_len) = parse_header_fields(&head)?;
-        // Pull the string table incrementally: allocation tracks bytes the
-        // stream actually delivers, so a hostile length cannot force an
+        // Pull the string table through the window: allocation tracks bytes
+        // the stream actually delivers, so a hostile length cannot force an
         // up-front over-allocation.
         let mut strtab = Vec::new();
         let mut remaining = strtab_len as usize;
-        let mut chunk = [0u8; 4096];
         while remaining > 0 {
-            let want = remaining.min(chunk.len());
-            let n = self::read_some(
-                &mut inner,
-                &mut chunk[..want],
-                HEADER_BYTES as u64 + strtab.len() as u64,
-            )?;
-            if n == 0 {
-                return Err(berr(
-                    HEADER_BYTES as u64 + strtab.len() as u64,
-                    "truncated string table",
-                ));
+            if !r.fill(1)? {
+                return Err(berr(r.offset, "truncated string table"));
             }
-            strtab.extend_from_slice(&chunk[..n]);
+            let n = remaining.min(r.end - r.pos);
+            strtab.extend_from_slice(&r.window[r.pos..r.pos + n]);
+            r.consume(n);
             remaining -= n;
         }
-        let syms = intern_strtab(&strtab, string_count, HEADER_BYTES as u64, ctx)?;
-        Ok(BinaryStreamReader {
-            inner,
-            syms,
-            record_count,
-            version,
-            footer_done: false,
-            yielded: 0,
-            offset: HEADER_BYTES as u64 + strtab_len as u64,
-            scratch: Vec::new(),
-            failed: false,
-        })
-    }
-
-    /// Consume and validate the version-2 iteration-index footer after the
-    /// last declared record. Allocation is capped by the record count (a
-    /// valid index can never hold more boundaries than records), so a
-    /// hostile count cannot force an over-allocation.
-    fn read_footer(&mut self) -> Result<(), TraceReadError> {
-        let mut frame = [0u8; 8];
-        read_exact_at(&mut self.inner, &mut frame, self.offset, "index header")?;
-        if frame[..4] != INDEX_MAGIC {
-            return Err(berr(self.offset, "missing iteration-index header magic"));
-        }
-        let count = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as u64;
-        if count > self.record_count {
-            return Err(berr(
-                self.offset + 4,
-                "iteration-index count exceeds the record count",
-            ));
-        }
-        self.offset += 8;
-        let mut bounds = Vec::with_capacity(count as usize);
-        let mut entry = [0u8; 8];
-        for _ in 0..count {
-            read_exact_at(&mut self.inner, &mut entry, self.offset, "index entry")?;
-            bounds.push(u64::from_le_bytes(entry));
-            self.offset += 8;
-        }
-        check_boundaries(&bounds, self.record_count, self.offset)?;
-        read_exact_at(&mut self.inner, &mut frame, self.offset, "index trailer")?;
-        let tail_count = u32::from_le_bytes(frame[..4].try_into().unwrap()) as u64;
-        if tail_count != count {
-            return Err(berr(
-                self.offset,
-                "iteration-index counts disagree front to back",
-            ));
-        }
-        if frame[4..] != INDEX_MAGIC {
-            return Err(berr(
-                self.offset + 4,
-                "missing iteration-index trailer magic",
-            ));
-        }
-        self.offset += 8;
-        Ok(())
+        r.syms = intern_strtab(&strtab, string_count, HEADER_BYTES as u64, ctx)?;
+        r.version = version;
+        r.record_count = record_count;
+        Ok(r)
     }
 
     /// Records the header declares.
@@ -890,33 +901,145 @@ impl<R: Read> BinaryStreamReader<R> {
         self.record_count
     }
 
-    fn read_record(&mut self) -> Result<Record, TraceReadError> {
-        self.scratch.resize(RECORD_BYTES, 0);
-        let mut tmp = std::mem::take(&mut self.scratch);
-        let r = (|| {
-            read_exact_at(
-                &mut self.inner,
-                &mut tmp[..RECORD_BYTES],
-                self.offset,
-                "record header",
-            )?;
-            let packed = u16::from_le_bytes([tmp[22], tmp[23]]);
-            let entries = (packed & 0x7FFF) as usize + (packed >> 15) as usize;
-            let total = RECORD_BYTES + entries * OPERAND_BYTES;
-            tmp.resize(total, 0);
-            read_exact_at(
-                &mut self.inner,
-                &mut tmp[RECORD_BYTES..total],
-                self.offset + RECORD_BYTES as u64,
-                "operand entries",
-            )?;
-            let (rec, end) = decode_record(&tmp[..total], 0, self.offset, &self.syms)?;
-            debug_assert_eq!(end, total);
-            self.offset += total as u64;
-            Ok(rec)
-        })();
-        self.scratch = tmp;
-        r
+    /// Decode the next record into the reader's own [`Record`] and lend
+    /// it: no allocation once the record has seen its widest operand list.
+    /// Yields records until the first error, then fuses.
+    pub fn next_record(&mut self) -> Option<Result<&Record, TraceReadError>> {
+        if self.failed {
+            return None;
+        }
+        let step = if self.yielded == self.record_count {
+            self.finish().map(|()| false)
+        } else {
+            self.read_record().map(|()| true)
+        };
+        match step {
+            Ok(true) => {
+                self.yielded += 1;
+                Some(Ok(&self.record))
+            }
+            Ok(false) => None,
+            Err(e) => {
+                self.failed = true;
+                Some(Err(e))
+            }
+        }
+    }
+
+    fn read_record(&mut self) -> Result<(), TraceReadError> {
+        self.need(RECORD_BYTES, "record header")?;
+        let total = record_len(&self.window[..self.end], self.pos, 0)?;
+        self.need(total, "operand entries")?;
+        let base = self.offset - self.pos as u64;
+        let end = decode_record_into(
+            &self.window[..self.end],
+            self.pos,
+            base,
+            &self.syms,
+            &mut self.record,
+        )?;
+        self.consume(end - self.pos);
+        Ok(())
+    }
+
+    /// After the declared records: consume and validate the version-2
+    /// footer, then require end of stream.
+    fn finish(&mut self) -> Result<(), TraceReadError> {
+        if self.version == VERSION_INDEXED && !self.footer_done {
+            self.read_footer()?;
+            self.footer_done = true;
+        }
+        if self.fill(1)? {
+            return Err(berr(self.offset, "trailing bytes after the last record"));
+        }
+        Ok(())
+    }
+
+    /// Consume and validate the version-2 iteration-index footer after the
+    /// last declared record. Allocation is capped by the record count (a
+    /// valid index can never hold more boundaries than records), so a
+    /// hostile count cannot force an over-allocation.
+    fn read_footer(&mut self) -> Result<(), TraceReadError> {
+        let at = self.offset;
+        let frame: [u8; 8] = self.read_array("index header")?;
+        if frame[..4] != INDEX_MAGIC {
+            return Err(berr(at, "missing iteration-index header magic"));
+        }
+        let count = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as u64;
+        if count > self.record_count {
+            return Err(berr(
+                at + 4,
+                "iteration-index count exceeds the record count",
+            ));
+        }
+        let mut bounds = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            bounds.push(u64::from_le_bytes(self.read_array("index entry")?));
+        }
+        let at = self.offset;
+        check_boundaries(&bounds, self.record_count, at)?;
+        let frame: [u8; 8] = self.read_array("index trailer")?;
+        let tail_count = u32::from_le_bytes(frame[..4].try_into().unwrap()) as u64;
+        if tail_count != count {
+            return Err(berr(at, "iteration-index counts disagree front to back"));
+        }
+        if frame[4..] != INDEX_MAGIC {
+            return Err(berr(at + 4, "missing iteration-index trailer magic"));
+        }
+        Ok(())
+    }
+
+    /// Consume the next `N` bytes (`what` names them in the truncation
+    /// error).
+    fn read_array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], TraceReadError> {
+        self.need(N, what)?;
+        // SAFETY of the unwrap: `need` guarantees N buffered bytes.
+        let bytes = self.window[self.pos..self.pos + N].try_into().unwrap();
+        self.consume(N);
+        Ok(bytes)
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        self.offset += n as u64;
+    }
+
+    /// Make `n` bytes available at `window[pos..]`, or fail with
+    /// "truncated {what}" at the offset where the stream ended.
+    fn need(&mut self, n: usize, what: &str) -> Result<(), TraceReadError> {
+        // Checked here first: nearly every record is already in the window.
+        if self.end - self.pos >= n || self.fill(n)? {
+            return Ok(());
+        }
+        Err(berr(
+            self.offset + (self.end - self.pos) as u64,
+            format!("truncated {what}"),
+        ))
+    }
+
+    /// Refill until `n` bytes are buffered at `window[pos..]`: carry the
+    /// unconsumed tail to the front, grow the window if one item is wider
+    /// than it, then read. Reads stop as soon as `n` bytes are there, so a
+    /// fault or a byte ceiling surfaces on the item that needs the bytes
+    /// past it. Returns false when the stream ends first.
+    fn fill(&mut self, n: usize) -> Result<bool, TraceReadError> {
+        if self.end - self.pos >= n {
+            return Ok(true);
+        }
+        self.window.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        if self.window.len() < n {
+            self.window.resize(n, 0);
+        }
+        while self.end < n {
+            let got = read_some(&mut self.inner, &mut self.window[self.end..])?;
+            if got == 0 {
+                return Ok(false);
+            }
+            self.end += got;
+        }
+        Ok(true)
     }
 }
 
@@ -924,49 +1047,12 @@ impl<R: Read> Iterator for BinaryStreamReader<R> {
     type Item = Result<Record, TraceReadError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        if self.yielded == self.record_count {
-            if self.version == VERSION_INDEXED && !self.footer_done {
-                if let Err(e) = self.read_footer() {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                self.footer_done = true;
-            }
-            // Exactly the declared records (and footer), then end of stream.
-            let mut probe = [0u8; 1];
-            return match read_some(&mut self.inner, &mut probe, self.offset) {
-                Ok(0) => None,
-                Ok(_) => {
-                    self.failed = true;
-                    Some(Err(berr(
-                        self.offset,
-                        "trailing bytes after the last record",
-                    )))
-                }
-                Err(e) => {
-                    self.failed = true;
-                    Some(Err(e))
-                }
-            };
-        }
-        match self.read_record() {
-            Ok(rec) => {
-                self.yielded += 1;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+        self.next_record().map(|r| r.cloned())
     }
 }
 
-/// `read` retrying on `Interrupted` (error offsets stay meaningful).
-fn read_some<R: Read>(r: &mut R, buf: &mut [u8], _offset: u64) -> Result<usize, TraceReadError> {
+/// `read` retrying on `Interrupted`.
+fn read_some<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, TraceReadError> {
     loop {
         match r.read(buf) {
             Ok(n) => return Ok(n),
@@ -974,24 +1060,6 @@ fn read_some<R: Read>(r: &mut R, buf: &mut [u8], _offset: u64) -> Result<usize, 
             Err(e) => return Err(TraceReadError::Io(e)),
         }
     }
-}
-
-/// `read_exact` that reports truncation as a [`BinaryError`] at `offset`.
-fn read_exact_at<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    offset: u64,
-    what: &str,
-) -> Result<(), TraceReadError> {
-    let mut done = 0;
-    while done < buf.len() {
-        let n = read_some(r, &mut buf[done..], offset + done as u64)?;
-        if n == 0 {
-            return Err(berr(offset + done as u64, format!("truncated {what}")));
-        }
-        done += n;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1394,5 +1462,133 @@ mod tests {
             bytes.len(),
             HEADER_BYTES + strtab + recs.len() * RECORD_BYTES + entries * OPERAND_BYTES
         );
+    }
+
+    /// Records of 0–39 operands, with one of `wide` operands (wider than
+    /// the stream window) at `wide_at`: cuts land on every kind of offset.
+    fn varied_records(ctx: &AnalysisCtx, n: usize, wide_at: usize, wide: usize) -> Vec<Record> {
+        (0..n)
+            .map(|i| {
+                let ops = if i == wide_at { wide } else { i * 7 % 40 };
+                Record {
+                    src_line: i as i32,
+                    func: ctx.intern(if i % 3 == 0 { "main" } else { "foo" }),
+                    bb: (i as u32 % 9, 1),
+                    bb_label: ctx.intern("7"),
+                    opcode: opcodes::ADD,
+                    dyn_id: i as u64,
+                    operands: (0..ops)
+                        .map(|k| {
+                            Operand::imm(OpTag::Pos(k as u8 % 200 + 1), 64, TraceValue::I(k as i64))
+                        })
+                        .collect(),
+                    result: (i % 2 == 0).then(|| {
+                        Operand::reg(OpTag::Result, 64, TraceValue::I(i as i64), Name::Temp(1))
+                    }),
+                }
+            })
+            .collect()
+    }
+
+    /// Byte offset where each record ends, given where the first starts.
+    fn record_ends(recs: &[Record], start: usize) -> Vec<usize> {
+        recs.iter()
+            .scan(start, |at, r| {
+                *at +=
+                    RECORD_BYTES + (r.operands.len() + r.result.is_some() as usize) * OPERAND_BYTES;
+                Some(*at)
+            })
+            .collect()
+    }
+
+    /// Stream `bytes` through `next_record`, checking each lent record
+    /// against `expect`: how many came before the first error, and that
+    /// error.
+    fn stream_until_error(
+        bytes: &[u8],
+        ctx: &AnalysisCtx,
+        expect: &[Record],
+    ) -> (usize, Option<TraceReadError>) {
+        let mut stream = crate::TraceSource::from_reader(bytes)
+            .ctx(ctx)
+            .stream()
+            .unwrap();
+        let mut n = 0;
+        while let Some(item) = stream.next_record() {
+            match item {
+                Ok(r) => {
+                    assert_eq!(Some(r), expect.get(n), "record {n}");
+                    n += 1;
+                }
+                Err(e) => {
+                    assert!(stream.next_record().is_none(), "the stream fuses");
+                    return (n, Some(e));
+                }
+            }
+        }
+        (n, None)
+    }
+
+    #[test]
+    fn windowed_stream_truncation_sweep() {
+        // A trace over two windows long, with one record wider than a
+        // window, cut at every record boundary and one byte either side,
+        // around both 64 KiB edges, and (version 2) all through the
+        // footer. Each cut yields exactly the whole records before it,
+        // then one typed error at the cut naming what was cut short.
+        let ctx = AnalysisCtx::session();
+        let recs = varied_records(&ctx, 300, 120, 4_000);
+        let v1 = to_bytes(&recs, &ctx);
+        let v2 = to_bytes_with_footer(&recs, &[100, 250], &ctx);
+        let body_start = v1.len() - record_ends(&recs, 0).last().unwrap();
+        let ends = record_ends(&recs, body_start);
+        let start_of = |k: usize| if k == 0 { body_start } else { ends[k - 1] };
+        assert!(v1.len() > 2 * WINDOW_BYTES + 4_096);
+        assert!(ends[120] - start_of(120) > WINDOW_BYTES);
+
+        let (n, err) = stream_until_error(&v1, &ctx, &recs);
+        assert!(err.is_none());
+        assert_eq!(n, recs.len(), "the wide record round-trips");
+
+        let cuts: Vec<usize> = ends[..ends.len() - 1]
+            .iter()
+            .flat_map(|&e| [e - 1, e, e + 1])
+            .chain([body_start, body_start + 1])
+            .chain(WINDOW_BYTES - 3..WINDOW_BYTES + 3)
+            .chain(2 * WINDOW_BYTES - 3..2 * WINDOW_BYTES + 3)
+            .chain([v1.len() - 1])
+            .collect();
+        let footer_cuts = v1.len()..v2.len();
+        for (bytes, cuts) in [
+            (&v1, cuts.clone()),
+            (&v2, cuts.into_iter().chain(footer_cuts).collect()),
+        ] {
+            for &cut in &cuts {
+                let (got, err) = stream_until_error(&bytes[..cut], &ctx, &recs);
+                let whole = ends.iter().take_while(|&&e| e <= cut).count();
+                let expected = if whole == recs.len() {
+                    let into = cut - v1.len();
+                    if into < 8 {
+                        "truncated index header"
+                    } else if into < 8 + 2 * 8 {
+                        "truncated index entry"
+                    } else {
+                        "truncated index trailer"
+                    }
+                } else if cut - start_of(whole) < RECORD_BYTES {
+                    "truncated record header"
+                } else {
+                    "truncated operand entries"
+                };
+                assert_eq!(got, whole, "cut {cut}: the whole-record prefix");
+                match err {
+                    Some(TraceReadError::Binary(e)) => {
+                        assert_eq!(e.message, expected, "cut {cut}");
+                        assert_eq!(e.offset, cut as u64, "cut {cut}");
+                    }
+                    other => panic!("cut {cut}: expected a binary error, got {other:?}"),
+                }
+            }
+        }
     }
 }

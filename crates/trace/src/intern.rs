@@ -476,6 +476,10 @@ impl Drop for SpaceGuard {
 }
 
 impl SymId {
+    /// Placeholder for a record a decoder is about to overwrite; never
+    /// resolved.
+    pub(crate) const FILLER: SymId = SymId(0);
+
     /// Intern `s` in the thread's current space (the global one unless a
     /// session guard is live). Components owned by one analysis should
     /// prefer `ctx.intern(..)` / [`SymbolSpace::intern`].

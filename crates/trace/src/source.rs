@@ -178,7 +178,7 @@ impl<'a> TraceSource<'a> {
     }
 
     /// Pull records one at a time with bounded memory (text: chunked line
-    /// reader; binary: string table plus one record).
+    /// reader; binary: string table plus one read window).
     pub fn stream(self) -> Result<TraceStream<'a>, TraceReadError> {
         let ctx = self.ctx;
         let (format, reader): (TraceFormat, BoxedReader<'a>) = match self.input {
@@ -209,7 +209,7 @@ impl<'a> TraceSource<'a> {
                     return Err(e);
                 }
             },
-            _ => StreamInner::Text(Box::new(RecordReader::with_ctx(reader, &ctx))),
+            _ => StreamInner::Text(Box::new((RecordReader::with_ctx(reader, &ctx), None))),
         };
         Ok(TraceStream {
             inner,
@@ -279,8 +279,14 @@ fn check_ingest_limits(
     let limits = ctx.limits();
     limits.check(ResourceKind::TraceRecords, records)?;
     limits.check(ResourceKind::TraceBytes, bytes)?;
-    limits.check(ResourceKind::Symbols, ctx.space().len() as u64)?;
-    limits.check(ResourceKind::ArenaBytes, ctx.space().owned_bytes() as u64)?;
+    // The space's figures sit behind its lock: read them only when their
+    // ceiling is set (the streaming path checks once per record).
+    if limits.get(ResourceKind::Symbols).is_some() {
+        limits.check(ResourceKind::Symbols, ctx.space().len() as u64)?;
+    }
+    if limits.get(ResourceKind::ArenaBytes).is_some() {
+        limits.check(ResourceKind::ArenaBytes, ctx.space().owned_bytes() as u64)?;
+    }
     Ok(())
 }
 
@@ -328,12 +334,13 @@ impl Read for ByteLimitReader<'_> {
         if buf.is_empty() {
             return Ok(0);
         }
-        // Serve at most one byte past the ceiling: crossing it (rather than
-        // reaching it exactly) is what constitutes the violation. Saturate:
-        // at limit == u64::MAX the `+ 1` would otherwise wrap to a
-        // zero-length read, silently treating the trace as empty.
-        let remaining = (self.limit - self.served.min(self.limit)).saturating_add(1);
-        let want = (buf.len() as u64).min(remaining) as usize;
+        // Serve up to exactly the ceiling, so a reader that reads ahead
+        // (the binary window, the text chunker) still gets every byte
+        // within it. Crossing the ceiling, not reaching it, is the
+        // violation: once it is reached, one more byte tells a trace that
+        // ends there (EOF) from one that goes on.
+        let remaining = self.limit.saturating_sub(self.served);
+        let want = (buf.len() as u64).min(remaining.max(1)) as usize;
         let n = self.inner.read(&mut buf[..want])?;
         self.served += n as u64;
         if self.served > self.limit {
@@ -386,8 +393,13 @@ impl Read for MeteredReader<'_> {
     }
 }
 
-/// The pull iterator behind [`TraceSource::stream`]. Yields records until
+/// The pull stream behind [`TraceSource::stream`]. Yields records until
 /// the first error, then fuses.
+///
+/// [`next_record`](Self::next_record) lends each record; the binary reader
+/// decodes every record into the same one, so a consumer that does not keep
+/// records (the streaming analyzer) ingests binary traces with no
+/// per-record allocation. The [`Iterator`] impl clones each lent record.
 pub struct TraceStream<'a> {
     inner: StreamInner<'a>,
     metrics: Metrics,
@@ -405,7 +417,8 @@ pub struct TraceStream<'a> {
 
 enum StreamInner<'a> {
     // Boxed: the text reader's line-carry buffers dwarf the binary variant.
-    Text(Box<RecordReader<BoxedReader<'a>>>),
+    // The slot holds the record last lent out.
+    Text(Box<(RecordReader<BoxedReader<'a>>, Option<Record>)>),
     Binary(BinaryStreamReader<BoxedReader<'a>>),
 }
 
@@ -414,18 +427,18 @@ impl TraceStream<'_> {
     pub fn is_binary(&self) -> bool {
         matches!(self.inner, StreamInner::Binary(_))
     }
-}
 
-impl Iterator for TraceStream<'_> {
-    type Item = Result<Record, TraceReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Pull the next record, lent until the next call.
+    pub fn next_record(&mut self) -> Option<Result<&Record, TraceReadError>> {
         if self.limit_tripped {
             return None;
         }
         let item = match &mut self.inner {
-            StreamInner::Text(r) => r.next(),
-            StreamInner::Binary(r) => r.next(),
+            StreamInner::Text(text) => {
+                let (reader, slot) = &mut **text;
+                reader.next().map(|r| r.map(|rec| &*slot.insert(rec)))
+            }
+            StreamInner::Binary(r) => r.next_record(),
         };
         // Per-record limit enforcement: each delivered record re-checks the
         // session's ingest ceilings, so a violation surfaces within one
@@ -460,6 +473,14 @@ impl Iterator for TraceStream<'_> {
             _ => {}
         }
         item
+    }
+}
+
+impl Iterator for TraceStream<'_> {
+    type Item = Result<Record, TraceReadError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_record().map(|r| r.cloned())
     }
 }
 
@@ -972,6 +993,64 @@ mod tests {
                 .len(),
             10
         );
+    }
+
+    #[test]
+    fn byte_ceiling_trips_on_the_first_record_crossing_it() {
+        use crate::limits::{ResourceKind, ResourceLimits};
+        // Over three read windows of 70-byte records. Every record whose
+        // last byte is within the ceiling is delivered, through the lent
+        // and the cloning pull alike; the error comes on the first record
+        // that crosses it, however far the reader reads ahead.
+        let base = AnalysisCtx::session();
+        let recs = synth(&base, 3_000);
+        let bin = to_bytes(&recs, &base);
+        let record_bytes = 32 + 2 * 19;
+        let body_start = bin.len() - recs.len() * record_bytes;
+        for limit in [
+            bin.len(),
+            bin.len() - 1,
+            body_start + 1_234 * record_bytes,
+            body_start + 1_234 * record_bytes + 33,
+            body_start + 64 * 1024,
+        ] {
+            let within = ((limit - body_start) / record_bytes).min(recs.len());
+            for lent in [true, false] {
+                let ctx = AnalysisCtx::session()
+                    .with_limits(ResourceLimits::new().max_trace_bytes(limit as u64));
+                let mut stream = TraceSource::from_reader(&bin[..])
+                    .ctx(&ctx)
+                    .stream()
+                    .unwrap();
+                let mut items = Vec::new();
+                loop {
+                    let item = if lent {
+                        stream.next_record().map(|r| r.cloned())
+                    } else {
+                        stream.next()
+                    };
+                    match item {
+                        Some(item) => items.push(item),
+                        None => break,
+                    }
+                }
+                let delivered = items.iter().take_while(|r| r.is_ok()).count();
+                assert_eq!(delivered, within, "limit {limit}, lent {lent}");
+                if limit == bin.len() {
+                    assert_eq!(items.len(), recs.len(), "limit {limit}, lent {lent}");
+                    continue;
+                }
+                assert_eq!(items.len(), within + 1, "limit {limit}, lent {lent}");
+                match &items[within] {
+                    Err(TraceReadError::Resource(r)) => {
+                        assert_eq!(r.kind, ResourceKind::TraceBytes);
+                        assert_eq!(r.limit, limit as u64);
+                        assert!(r.used > r.limit);
+                    }
+                    other => panic!("limit {limit}, lent {lent}: got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

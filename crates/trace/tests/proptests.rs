@@ -162,6 +162,43 @@ proptest! {
     }
 
     #[test]
+    fn lent_stream_equals_records_in_both_formats(
+        records in proptest::collection::vec(arb_record(), 0..60),
+    ) {
+        // `next_record` lends exactly what `records()` materializes, record
+        // for record, and books the same ingest-ledger totals: every record
+        // and every byte, under the format's own counters.
+        use autocheck_obs::{CounterId, Metrics};
+        let text = writer::to_string(&records);
+        let bin = binary::to_bytes(&records, &AnalysisCtx::current());
+        for bytes in [text.as_bytes(), &bin[..]] {
+            let space = AnalysisCtx::session();
+            let batch_ctx = space.clone().with_metrics(Metrics::enabled());
+            let batch = TraceSource::from_reader(bytes).ctx(&batch_ctx).records().unwrap();
+            let ctx = space.with_metrics(Metrics::enabled());
+            let mut stream = TraceSource::from_reader(bytes).ctx(&ctx).stream().unwrap();
+            let mut lent = Vec::new();
+            while let Some(r) = stream.next_record() {
+                lent.push(r.unwrap().clone());
+            }
+            prop_assert_eq!(&lent, &batch);
+            let (rec_id, byte_id) = if binary::is_binary(bytes) {
+                (CounterId::IngestRecordsBinary, CounterId::IngestBytesBinary)
+            } else {
+                (CounterId::IngestRecordsText, CounterId::IngestBytesText)
+            };
+            let m = batch_ctx.metrics();
+            prop_assert_eq!(m.counter(rec_id), records.len() as u64);
+            prop_assert_eq!(m.counter(byte_id), bytes.len() as u64);
+            // The stream books bytes with each record, so a trace with no
+            // records books none.
+            let streamed_bytes = if records.is_empty() { 0 } else { bytes.len() as u64 };
+            prop_assert_eq!(ctx.metrics().counter(rec_id), records.len() as u64);
+            prop_assert_eq!(ctx.metrics().counter(byte_id), streamed_bytes);
+        }
+    }
+
+    #[test]
     fn text_to_binary_to_text_is_byte_identical(
         records in proptest::collection::vec(arb_record(), 0..40),
         threads in 1usize..5,
